@@ -110,9 +110,11 @@ test-allocs:
 test-soak:
 	$(GO) test -race -run TestReplicaFailoverSoak -v ./internal/fabric
 
-# Short deterministic-budget runs of the wire-protocol fuzzers: raw v1
-# framing, then the v2 CRC-trailer frame decoder (go test accepts one
-# -fuzz pattern per invocation, hence two runs).
+# Short deterministic-budget runs of the fuzzers: the one wire-protocol
+# frame decoder from raw bytes and, past a valid hello, through its CRC
+# trailers and deadline fields, then the concurrent-scope, WAL, codec and
+# tier fuzzers (go test accepts one -fuzz pattern per invocation, hence one
+# run each).
 fuzz-short:
 	$(GO) test -run=^$$ -fuzz=FuzzWireProtocol -fuzztime=30s ./internal/fabric
 	$(GO) test -run=^$$ -fuzz=FuzzCRCFrame -fuzztime=30s ./internal/fabric

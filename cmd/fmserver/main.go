@@ -9,8 +9,10 @@
 // the store contents can be considered the node's "memory" (a restarted
 // process with a fresh store serves fetches as not-found, which clients
 // observe as typed errors or misses — never as corrupted data: every blob
-// carries a CRC32-C recorded at push, verified on every fetch, and the v2
-// wire protocol adds a CRC trailer on every payload frame).
+// carries a CRC32-C recorded at push, verified on every fetch, and the
+// wire protocol puts a CRC trailer on every payload frame). Clients must
+// be built from the same commit: a connection that does not open with
+// this protocol's hello is closed.
 //
 //	fmserver -addr 127.0.0.1:7070
 //
@@ -48,7 +50,7 @@
 // before the ack, compacting snapshots bound replay work, and on startup
 // the node recovers the latest valid snapshot plus the WAL (truncating a
 // torn or corrupt tail). A recovered node advertises a fresh restart
-// generation with the durable bit set in the v4 hello, so replica-set
+// generation with the durable bit set in its hello response, so replica-set
 // clients rejoin it by replaying only the writes it missed while down,
 // instead of a full resync:
 //

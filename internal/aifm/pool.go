@@ -170,18 +170,17 @@ type stripe struct {
 // stable while the object is pinned — concurrent callers must use
 // LocalizePin or a DerefScope rather than bare Localize.
 type Pool struct {
-	env       *sim.Env
-	lat       *sim.Latencies
-	transport fabric.ErrorTransport
-	replicas  *fabric.ReplicaSet // non-nil only when Config.Replicas was set
-	closer    func() error       // non-nil only when the pool dialed RemoteAddr
-	retries   int
-	objSize   int
-	shift     uint // log2(objSize)
-	dsID      uint8
+	env      *sim.Env
+	lat      *sim.Latencies
+	remote   fabric.RemotePath
+	replicas *fabric.ReplicaSet // non-nil only when Config.Replicas was set
+	closer   func() error       // non-nil only when the pool dialed RemoteAddr
+	objSize  int
+	shift    uint // log2(objSize)
+	dsID     uint8
 
-	// Overload-control state (all idle when dlBudget is zero).
-	dlBudget     uint64 // per-op deadline in clock cycles; 0 = none
+	// Degraded-mode state (idle when degradeAfter is zero, which it is
+	// whenever the pool runs without an OpDeadline).
 	degradeAfter uint32 // consecutive misses before degrading; 0 = never
 	dlStreak     atomic.Uint32
 	degraded     atomic.Bool
@@ -384,11 +383,9 @@ func NewPool(cfg Config) (*Pool, error) {
 	p := &Pool{
 		env:          cfg.Env,
 		lat:          cfg.Env.Lat(),
-		transport:    transport,
+		remote:       cfg.Path(transport, cfg.Env),
 		replicas:     replicas,
 		closer:       closer,
-		retries:      cfg.Retries(),
-		dlBudget:     cfg.OpDeadline,
 		degradeAfter: degradeAfter,
 		objSize:      cfg.ObjectSize,
 		shift:        uint(bits.TrailingZeros(uint(cfg.ObjectSize))),
@@ -999,57 +996,33 @@ func (p *Pool) RegisterObs(reg *obs.Registry, labels ...obs.Label) {
 	p.tier.Register(reg, labels...)
 }
 
-// opDeadline starts a fresh per-op deadline, or the zero Deadline when the
-// pool runs without a budget.
-func (p *Pool) opDeadline() fabric.Deadline {
-	if p.dlBudget == 0 {
-		return fabric.Deadline{}
+// noteRemote folds a remote operation's outcome into the degraded-mode
+// state: a success resets the miss streak and lifts any degradation (a
+// probe got through); a deadline miss extends the streak, and a
+// long-enough streak flips the pool into degraded mode.
+func (p *Pool) noteRemote(err error) {
+	if p.degradeAfter == 0 {
+		return // degraded mode disabled: the streak never moves
 	}
-	return fabric.DeadlineAfter(&p.env.Clock, p.dlBudget)
-}
-
-// noteRemoteOK records a successful remote operation: the miss streak
-// resets and any degradation lifts (a probe got through).
-func (p *Pool) noteRemoteOK() {
-	if p.dlBudget == 0 {
-		return
-	}
-	p.dlStreak.Store(0)
-	p.degraded.CompareAndSwap(true, false)
-}
-
-// noteRemoteErr classifies a failed remote operation that started at
-// cycle start: overload rejects and deadline misses are tallied, a miss
-// extends the streak, and a long-enough streak flips the pool into
-// degraded mode. Reports whether err was a deadline miss.
-func (p *Pool) noteRemoteErr(err error, start uint64) bool {
-	if errors.Is(err, fabric.ErrOverloaded) {
-		sim.Inc(&p.env.Counters.OverloadRejects)
-	}
-	if !errors.Is(err, fabric.ErrDeadlineExceeded) {
-		return false
-	}
-	sim.Inc(&p.env.Counters.DeadlineMisses)
-	if elapsed := p.env.Clock.Cycles() - start; elapsed > p.dlBudget {
-		p.lat.DeadlineMiss.Observe(elapsed - p.dlBudget)
-	}
-	if p.degradeAfter > 0 &&
+	if err == nil {
+		p.dlStreak.Store(0)
+		p.degraded.CompareAndSwap(true, false)
+	} else if errors.Is(err, fabric.ErrDeadlineExceeded) &&
 		p.dlStreak.Add(1) >= p.degradeAfter &&
 		p.degraded.CompareAndSwap(false, true) {
 		sim.Inc(&p.env.Counters.DegradedEntries)
 	}
-	return true
 }
 
 // fetchInto pulls object id into the arena at base: first by probing the
 // compressed middle tier (a hit decompresses straight into the slot and
-// touches no fabric — it even works while degraded), then by the remote
-// transport, retrying transport failures up to the pool's budget. Every
-// failed attempt is tallied in Counters.RemoteFetchFaults, so injected
-// fault counts reconcile exactly with what the runtime observed. With an
-// OpDeadline configured the deadline bounds the whole retry loop, and
-// while the pool is degraded all but a probe trickle of fetches fail fast
-// with ErrDegraded. The bool result reports a tier hit, so callers can
+// touches no fabric — it even works while degraded), then over the shared
+// fabric.RemotePath, retrying transport failures up to the pool's budget.
+// Every failed attempt is tallied in Counters.RemoteFetchFaults, so
+// injected fault counts reconcile exactly with what the runtime observed.
+// With an OpDeadline configured the deadline bounds the whole retry loop,
+// and while the pool is degraded all but a probe trickle of fetches fail
+// fast with ErrDegraded. The bool result reports a tier hit, so callers can
 // keep the remote-fetch and thrash accounting honest.
 func (p *Pool) fetchInto(id ObjectID, base uint64, async bool) (bool, error) {
 	start := p.env.Clock.Cycles()
@@ -1081,63 +1054,21 @@ func (p *Pool) fetchInto(id ObjectID, base uint64, async bool) (bool, error) {
 	if p.tier != nil {
 		sim.Inc(&p.env.Counters.TierMisses)
 	}
-	defer func() { p.lat.RemoteFetch.Observe(p.env.Clock.Cycles() - start) }()
 	if p.degradedNow() && p.probeTick.Add(1)%degradedProbeEvery != 0 {
 		lease.Release()
+		p.lat.RemoteFetch.Observe(p.env.Clock.Cycles() - start)
 		return false, fmt.Errorf("aifm: fetch object %d: %w", id, ErrDegraded)
 	}
-	key := p.transportKey(id)
-	dl := p.opDeadline()
-	var last error
-	attempts := 0
-	for attempt := 1; attempt <= p.retries; attempt++ {
-		attempts = attempt
-		var err error
-		if async {
-			_, err = fabric.FetchAsync(p.transport, key, buf)
-		} else {
-			_, err = p.transport.TryFetchUntil(key, buf, dl)
-		}
-		if err == nil {
-			if !direct {
-				p.arena.WriteAt(base, buf)
-			}
-			lease.Release()
-			p.noteRemoteOK()
-			return false, nil
-		}
-		last = err
-		sim.Inc(&p.env.Counters.RemoteFetchFaults)
-		if p.noteRemoteErr(err, start) {
-			break // the deadline bounds the whole retry loop
-		}
+	attempts, err := p.remote.Fetch(p.transportKey(id), buf, async)
+	p.noteRemote(err)
+	if err == nil && !direct {
+		p.arena.WriteAt(base, buf)
 	}
 	lease.Release()
-	return false, fmt.Errorf("aifm: fetch object %d after %d attempts: %w", id, attempts, last)
-}
-
-// pushWithRetry evacuates a dirty object's bytes, retrying transport
-// failures up to the pool's budget; failed attempts are tallied in
-// Counters.RemotePushFaults. Like fetchInto, an OpDeadline bounds the
-// whole loop.
-func (p *Pool) pushWithRetry(key uint64, buf []byte) error {
-	start := p.env.Clock.Cycles()
-	defer func() { p.lat.RemotePush.Observe(p.env.Clock.Cycles() - start) }()
-	dl := p.opDeadline()
-	var last error
-	for attempt := 1; attempt <= p.retries; attempt++ {
-		if err := p.transport.TryPushUntil(key, buf, dl); err == nil {
-			p.noteRemoteOK()
-			return nil
-		} else {
-			last = err
-			sim.Inc(&p.env.Counters.RemotePushFaults)
-			if p.noteRemoteErr(err, start) {
-				break
-			}
-		}
+	if err != nil {
+		return false, fmt.Errorf("aifm: fetch object %d after %d attempts: %w", id, attempts, err)
 	}
-	return last
+	return false, nil
 }
 
 func (p *Pool) maybeStridePrefetch(id ObjectID) {
@@ -1432,7 +1363,8 @@ func (p *Pool) evictLocked(slot uint32, id ObjectID) bool {
 			buf = lease.Bytes()
 			p.arena.ReadAt(base, buf)
 		}
-		err := p.pushWithRetry(p.transportKey(id), buf)
+		err := p.remote.Push(p.transportKey(id), buf)
+		p.noteRemote(err)
 		lease.Release()
 		if err != nil {
 			sim.Inc(&p.env.Counters.EvictionStalls)
@@ -1610,8 +1542,8 @@ func (p *Pool) Free(id ObjectID) {
 	// is unreachable once the metadata word resets (a reused id is
 	// re-materialized as fresh zeros, and any later push overwrites the
 	// stale blob). Retry within budget, then move on.
-	for attempt := 1; attempt <= p.retries; attempt++ {
-		if err := p.transport.TryDeleteUntil(p.transportKey(id), fabric.Deadline{}); err == nil {
+	for attempt := 1; attempt <= p.remote.Retries; attempt++ {
+		if err := p.remote.T.TryDeleteUntil(p.transportKey(id), fabric.Deadline{}); err == nil {
 			break
 		}
 		sim.Inc(&p.env.Counters.RemotePushFaults)

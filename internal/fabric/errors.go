@@ -7,9 +7,9 @@ import (
 	"net"
 )
 
-// Typed transport errors. Error-aware callers (ErrorTransport users) match
-// these with errors.Is; every error returned by TryFetch/TryPush/TryDelete
-// wraps exactly one of them so retry policies can branch on failure class
+// Typed transport errors. ErrorTransport callers match these with
+// errors.Is; every error returned by TryFetchUntil/TryPushUntil/
+// TryDeleteUntil wraps exactly one of them so retry policies can branch on failure class
 // without string matching.
 var (
 	// ErrRemoteUnavailable covers connection-level failures: refused or
@@ -47,7 +47,7 @@ var (
 	ErrIntegrity = errors.New("fabric: integrity check failed")
 
 	// ErrDeadlineExceeded is a per-operation deadline expiry: the caller's
-	// end-to-end budget (carried in the v3 frame header and enforced at
+	// end-to-end budget (carried in the request header and enforced at
 	// every layer — transport attempts, replica failover, runtime retry
 	// loops) ran out before the operation produced a usable result. It is
 	// distinct from ErrTimeout, which is one attempt's socket deadline:

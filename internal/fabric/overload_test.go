@@ -2,10 +2,7 @@ package fabric
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"io"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -14,71 +11,42 @@ import (
 	"trackfm/internal/sim"
 )
 
-// recordingLink is a minimal ErrorTransport (NOT a DeadlineTransport) whose
-// operations advance a sim clock by a configurable cost, for exercising the
-// FetchUntil/PushUntil/DeleteUntil adapter fallback.
+// recordingLink is a minimal ErrorTransport whose operations advance a
+// sim clock by a configurable cost and implement the deadline contract by
+// hand — refuse an expired start, discard a late completion — so the
+// deadline tests can exercise those semantics against a transport with a
+// configurable cost.
 type recordingLink struct {
 	clk   *sim.Clock
 	cost  uint64
 	calls int
 }
 
-func (r *recordingLink) op() {
+// op runs one operation under dl.
+func (r *recordingLink) op(dl Deadline, what string) error {
+	if dl.Expired() {
+		return errDeadline(what + " not started")
+	}
 	r.calls++
 	if r.cost > 0 {
 		r.clk.Advance(r.cost)
 	}
-}
-
-func (r *recordingLink) TryFetch(key uint64, dst []byte) (bool, error) {
-	r.op()
-	return true, nil
-}
-func (r *recordingLink) TryFetchAsync(key uint64, dst []byte) (bool, error) {
-	return r.TryFetch(key, dst)
-}
-func (r *recordingLink) TryPush(key uint64, src []byte) error { r.op(); return nil }
-func (r *recordingLink) TryDelete(key uint64) error           { r.op(); return nil }
-
-// The Until forms implement the canonical contract by hand — refuse an
-// expired start, discard a late completion — so the deadline tests can
-// exercise those semantics against a transport with a configurable cost.
-func (r *recordingLink) TryFetchUntil(key uint64, dst []byte, dl Deadline) (bool, error) {
 	if dl.Expired() {
-		return false, errDeadline("fetch not started")
+		return errDeadline(what + " completed past deadline")
 	}
-	found, err := r.TryFetch(key, dst)
-	if err == nil && dl.Expired() {
-		return false, errDeadline("fetch completed past deadline")
-	}
-	return found, err
+	return nil
+}
+
+func (r *recordingLink) TryFetchUntil(key uint64, dst []byte, dl Deadline) (bool, error) {
+	err := r.op(dl, "fetch")
+	return err == nil, err
 }
 func (r *recordingLink) TryPushUntil(key uint64, src []byte, dl Deadline) error {
-	if dl.Expired() {
-		return errDeadline("push not started")
-	}
-	err := r.TryPush(key, src)
-	if err == nil && dl.Expired() {
-		return errDeadline("push completed past deadline")
-	}
-	return err
+	return r.op(dl, "push")
 }
 func (r *recordingLink) TryDeleteUntil(key uint64, dl Deadline) error {
-	if dl.Expired() {
-		return errDeadline("delete not started")
-	}
-	err := r.TryDelete(key)
-	if err == nil && dl.Expired() {
-		return errDeadline("delete completed past deadline")
-	}
-	return err
+	return r.op(dl, "delete")
 }
-func (r *recordingLink) Fetch(key uint64, dst []byte) bool    { f, _ := r.TryFetch(key, dst); return f }
-func (r *recordingLink) FetchAsync(key uint64, dst []byte) bool {
-	return r.Fetch(key, dst)
-}
-func (r *recordingLink) Push(key uint64, src []byte) { _ = r.TryPush(key, src) }
-func (r *recordingLink) Delete(key uint64)           { _ = r.TryDelete(key) }
 
 func TestDeadlineClockDual(t *testing.T) {
 	var zero Deadline
@@ -125,7 +93,7 @@ func TestDeadlineAdapterFallback(t *testing.T) {
 	dst := make([]byte, 4)
 
 	// Within budget: the result is handed through.
-	if found, err := FetchUntil(link, 1, dst, DeadlineAfter(&clk, 100)); !found || err != nil {
+	if found, err := link.TryFetchUntil(1, dst, DeadlineAfter(&clk, 100)); !found || err != nil {
 		t.Fatalf("in-budget FetchUntil = %v, %v", found, err)
 	}
 
@@ -133,7 +101,7 @@ func TestDeadlineAdapterFallback(t *testing.T) {
 	// reports a deadline miss and withholds the result.
 	link.cost = 200
 	calls := link.calls
-	found, err := FetchUntil(link, 1, dst, DeadlineAfter(&clk, 100))
+	found, err := link.TryFetchUntil(1, dst, DeadlineAfter(&clk, 100))
 	if found || !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("late FetchUntil = %v, %v; want false, ErrDeadlineExceeded", found, err)
 	}
@@ -143,7 +111,7 @@ func TestDeadlineAdapterFallback(t *testing.T) {
 
 	// Already expired: refused before the transport is touched.
 	calls = link.calls
-	if _, err := FetchUntil(link, 1, dst, DeadlineAfter(&clk, 0)); !errors.Is(err, ErrDeadlineExceeded) {
+	if _, err := link.TryFetchUntil(1, dst, DeadlineAfter(&clk, 0)); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("expired FetchUntil = %v, want ErrDeadlineExceeded", err)
 	}
 	if link.calls != calls {
@@ -151,18 +119,18 @@ func TestDeadlineAdapterFallback(t *testing.T) {
 	}
 
 	// The zero Deadline never interferes.
-	if found, err := FetchUntil(link, 1, dst, Deadline{}); !found || err != nil {
+	if found, err := link.TryFetchUntil(1, dst, Deadline{}); !found || err != nil {
 		t.Fatalf("no-deadline FetchUntil = %v, %v", found, err)
 	}
 
 	// Push and delete get the same late-completion semantics.
-	if err := PushUntil(link, 1, dst, DeadlineAfter(&clk, 100)); !errors.Is(err, ErrDeadlineExceeded) {
+	if err := link.TryPushUntil(1, dst, DeadlineAfter(&clk, 100)); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("late PushUntil = %v, want ErrDeadlineExceeded", err)
 	}
-	if err := DeleteUntil(link, 1, DeadlineAfter(&clk, 100)); !errors.Is(err, ErrDeadlineExceeded) {
+	if err := link.TryDeleteUntil(1, DeadlineAfter(&clk, 100)); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("late DeleteUntil = %v, want ErrDeadlineExceeded", err)
 	}
-	if err := PushUntil(link, 1, dst, Deadline{}); err != nil {
+	if err := link.TryPushUntil(1, dst, Deadline{}); err != nil {
 		t.Fatalf("no-deadline PushUntil = %v", err)
 	}
 }
@@ -319,7 +287,7 @@ func TestAdmissionServiceEWMA(t *testing.T) {
 }
 
 // TestOverloadShedBackpressureE2E drives the whole client/server overload
-// path over a real socket: the v3 handshake carries each operation's
+// path over a real socket: each request header carries the operation's
 // deadline to the server, admission control sheds the infeasible request
 // with an overload reject, and the client treats the reject as
 // backpressure — typed ErrOverloaded, no reconnect, no retry-budget
@@ -343,11 +311,8 @@ func TestOverloadShedBackpressureE2E(t *testing.T) {
 	defer tr.Close()
 
 	blob := []byte("overload e2e payload")
-	if err := tr.TryPush(7, blob); err != nil {
+	if err := tr.TryPushUntil(7, blob, Deadline{}); err != nil {
 		t.Fatalf("TryPush: %v", err)
-	}
-	if v := tr.WireVersionInUse(); v < protoV3 {
-		t.Fatalf("negotiated wire version %d, want >= %d (deadline framing)", v, protoV3)
 	}
 	if adm.Stats().Admitted() == 0 {
 		t.Fatalf("admission control saw no traffic")
@@ -357,7 +322,7 @@ func TestOverloadShedBackpressureE2E(t *testing.T) {
 	// Poison the service-time estimate: with an hour-long EWMA, any request
 	// carrying a deadline is infeasible and must be shed, while deadline-free
 	// requests (budget 0) pass. That the next fetch is shed at all proves the
-	// deadline rode the v3 frame header to the server.
+	// deadline rode the frame header to the server.
 	adm.Offer(0, 0)
 	adm.Done(uint64(time.Hour.Nanoseconds()))
 
@@ -385,7 +350,7 @@ func TestOverloadShedBackpressureE2E(t *testing.T) {
 	}
 
 	// A deadline-free fetch on the same connection is admitted and served.
-	found, err = tr.TryFetch(7, dst)
+	found, err = tr.TryFetchUntil(7, dst, Deadline{})
 	if err != nil || !found {
 		t.Fatalf("deadline-free fetch during overload = %v, %v", found, err)
 	}
@@ -424,7 +389,7 @@ func TestDeadlineExpiredFailsFastNoFrame(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer tr.Close()
-	if err := tr.TryPush(1, []byte{0xAB}); err != nil {
+	if err := tr.TryPushUntil(1, []byte{0xAB}, Deadline{}); err != nil {
 		t.Fatalf("TryPush: %v", err)
 	}
 
@@ -441,83 +406,6 @@ func TestDeadlineExpiredFailsFastNoFrame(t *testing.T) {
 	if got := srv.Stats().Frames(); got != frames {
 		t.Fatalf("server frames went %d -> %d; expired op must not hit the wire", frames, got)
 	}
-}
-
-// FuzzDeadlineFrame throws arbitrary bytes at the v3 frame decoder: every
-// input is prefixed with a hello negotiating protocol v3, so each
-// subsequent frame header grows the 8-byte deadline field and payloads
-// keep their v2 CRC trailers. The server must never panic, never hang on a
-// truncated deadline field, and never let an unverified payload reach the
-// store, whatever the deadline bytes say.
-func FuzzDeadlineFrame(f *testing.F) {
-	hello := make([]byte, 13)
-	hello[0] = opHello
-	binary.BigEndian.PutUint64(hello[1:9], helloMagic)
-	binary.BigEndian.PutUint32(hello[9:13], protoV3)
-
-	// v3 header: op(1) key(8) length(4) deadlineNs(8).
-	v3hdr := func(op byte, key uint64, length uint32, deadlineNs uint64) []byte {
-		h := make([]byte, 21)
-		h[0] = op
-		binary.BigEndian.PutUint64(h[1:9], key)
-		binary.BigEndian.PutUint32(h[9:13], length)
-		binary.BigEndian.PutUint64(h[13:21], deadlineNs)
-		return h
-	}
-
-	// A well-formed v3 push (deadline-free) with a correct CRC trailer.
-	payload := []byte{1, 2, 3, 4}
-	goodPush := v3hdr(opPush, 42, uint32(len(payload)), 0)
-	goodPush = append(goodPush, payload...)
-	goodPush = binary.BigEndian.AppendUint32(goodPush, payloadCRC(payload))
-	f.Add(goodPush)
-
-	// The same push carrying a large deadline, and one whose trailer is
-	// corrupt (must be rejected regardless of the deadline bytes).
-	urgent := v3hdr(opPush, 42, uint32(len(payload)), uint64(time.Hour.Nanoseconds()))
-	urgent = append(urgent, payload...)
-	urgent = binary.BigEndian.AppendUint32(urgent, payloadCRC(payload))
-	f.Add(urgent)
-	badPush := append([]byte{}, goodPush...)
-	badPush[len(badPush)-1] ^= 0xFF
-	f.Add(badPush)
-
-	// A v3 fetch with a deadline, a header truncated mid-deadline, an
-	// oversize length next to a huge deadline, and a hello mid-stream.
-	fetch := v3hdr(opFetch, 42, uint32(len(payload)), 12345)
-	f.Add(fetch)
-	f.Add(v3hdr(opFetch, 42, 4, 12345)[:17])
-	f.Add(v3hdr(opPush, 7, 0xFFFFFFFF, ^uint64(0)))
-	f.Add(append(append([]byte{}, fetch...), hello...))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		store := remote.NewStore()
-		s := NewServer(store)
-		client, server := net.Pipe()
-		done := make(chan struct{})
-		go func() {
-			s.handle(server)
-			close(done)
-		}()
-		go io.Copy(io.Discard, client)
-		client.SetDeadline(time.Now().Add(2 * time.Second))
-		go func() {
-			// Negotiate v3, then deliver the fuzzed frames.
-			client.Write(hello)
-			client.Write(data)
-			client.Close()
-		}()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("server.handle did not return after client close")
-		}
-		// Whatever the fuzzer managed to store must verify on read-back.
-		buf := make([]byte, len(payload))
-		if _, err := store.Get(42, buf); errors.Is(err, remote.ErrChecksum) {
-			t.Fatalf("stored blob failed integrity on read-back: %v", err)
-		}
-	})
 }
 
 // blockLink is an ErrorTransport whose operations can be held on a gate
@@ -562,25 +450,6 @@ func (b *blockLink) TryDeleteUntil(key uint64, dl Deadline) error {
 	}
 	return b.inner.TryDeleteUntil(key, dl)
 }
-func (b *blockLink) TryFetch(key uint64, dst []byte) (bool, error) {
-	return b.TryFetchUntil(key, dst, Deadline{})
-}
-func (b *blockLink) TryFetchAsync(key uint64, dst []byte) (bool, error) {
-	return b.TryFetch(key, dst)
-}
-func (b *blockLink) TryPush(key uint64, src []byte) error {
-	return b.TryPushUntil(key, src, Deadline{})
-}
-func (b *blockLink) TryDelete(key uint64) error {
-	return b.TryDeleteUntil(key, Deadline{})
-}
-func (b *blockLink) Fetch(key uint64, dst []byte) bool {
-	f, err := b.TryFetch(key, dst)
-	return err == nil && f
-}
-func (b *blockLink) FetchAsync(key uint64, dst []byte) bool { return b.Fetch(key, dst) }
-func (b *blockLink) Push(key uint64, src []byte)            { _ = b.TryPush(key, src) }
-func (b *blockLink) Delete(key uint64)                      { _ = b.TryDelete(key) }
 
 func (b *blockLink) set(down bool, gate chan struct{}) {
 	b.mu.Lock()
@@ -610,14 +479,14 @@ func TestReplicaSetHalfOpenProbeSingleFlight(t *testing.T) {
 	rstats := rs.ReplicaStats()
 
 	blob := []byte("probe singleflight payload")
-	if err := rs.TryPush(9, blob); err != nil {
+	if err := rs.TryPushUntil(9, blob, Deadline{}); err != nil {
 		t.Fatalf("TryPush: %v", err)
 	}
 
 	// Fail replica 0 once: threshold 1 opens its breaker.
 	m0.set(true, nil)
 	dst := make([]byte, len(blob))
-	if found, err := rs.TryFetch(9, dst); err != nil || !found {
+	if found, err := rs.TryFetchUntil(9, dst, Deadline{}); err != nil || !found {
 		t.Fatalf("fetch during outage = %v, %v", found, err)
 	}
 	if got := rstats.BreakerOpens(); got != 1 {
@@ -633,7 +502,7 @@ func TestReplicaSetHalfOpenProbeSingleFlight(t *testing.T) {
 	probeDone := make(chan error, 1)
 	go func() {
 		d := make([]byte, len(blob))
-		_, err := rs.TryFetch(9, d) // claims the due probe, blocks on the gate
+		_, err := rs.TryFetchUntil(9, d, Deadline{}) // claims the due probe, blocks on the gate
 		probeDone <- err
 	}()
 	waitFor(t, "probe claimed", func() bool { return rstats.Probes() == 1 })
@@ -644,7 +513,7 @@ func TestReplicaSetHalfOpenProbeSingleFlight(t *testing.T) {
 		got := make([]byte, len(blob))
 		done := make(chan struct{})
 		go func() {
-			if found, err := rs.TryFetch(9, got); err != nil || !found {
+			if found, err := rs.TryFetchUntil(9, got, Deadline{}); err != nil || !found {
 				t.Errorf("concurrent fetch during probe = %v, %v", found, err)
 			}
 			close(done)

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"errors"
 	"fmt"
 
 	"trackfm/internal/sim"
@@ -43,7 +44,7 @@ type RemoteConfig struct {
 	// OpDeadline, when positive, is the end-to-end budget for each remote
 	// operation the runtime issues, in clock units (simulated cycles on
 	// the runtime's sim.Clock). The deadline bounds the whole retry loop,
-	// rides to the server in v3 frame headers, and surfaces as
+	// rides to the server in request headers, and surfaces as
 	// ErrDeadlineExceeded when missed; repeated misses flip an aifm.Pool
 	// into degraded mode. Zero means no deadline — exactly the previous
 	// behaviour.
@@ -101,4 +102,98 @@ func (c *RemoteConfig) Connect(clk *sim.Clock) (t ErrorTransport, rs *ReplicaSet
 	default:
 		return nil, nil, nil, nil
 	}
+}
+
+// RemotePath is the retrying path a runtime's below-local operations take
+// to far memory, shared by aifm.Pool and fastswap.Swap. Each operation
+// gets a fresh per-op deadline of Budget cycles on the env's clock, is
+// issued up to Retries times, and is tallied on the env: every failed
+// attempt in Counters.RemoteFetchFaults or RemotePushFaults, overload
+// rejects in OverloadRejects, a deadline miss — which ends the operation —
+// in DeadlineMisses and the DeadlineMiss histogram, and the whole
+// operation in the RemoteFetch or RemotePush histogram. Tier probes,
+// buffers, and degraded modes stay with the runtime.
+type RemotePath struct {
+	T       ErrorTransport
+	Retries int    // attempts per operation (RemoteConfig.Retries)
+	Budget  uint64 // per-op deadline in clock cycles; 0 = none (RemoteConfig.OpDeadline)
+	env     *sim.Env
+	lat     *sim.Latencies
+}
+
+// Path returns the retry path over t with c's attempt and deadline
+// budgets, counting on env.
+func (c *RemoteConfig) Path(t ErrorTransport, env *sim.Env) RemotePath {
+	return RemotePath{T: t, Retries: c.Retries(), Budget: c.OpDeadline, env: env, lat: env.Lat()}
+}
+
+// deadline starts a fresh per-op deadline, or the zero Deadline when the
+// path runs without a budget.
+func (r *RemotePath) deadline() Deadline {
+	if r.Budget == 0 {
+		return Deadline{}
+	}
+	return DeadlineAfter(&r.env.Clock, r.Budget)
+}
+
+// missed tallies a failed attempt of an operation that started at cycle
+// start: overload rejects and deadline misses are counted, and a miss's
+// overshoot past the budget is observed. Reports whether err was a
+// deadline miss, which ends the operation.
+func (r *RemotePath) missed(err error, start uint64) bool {
+	if errors.Is(err, ErrOverloaded) {
+		sim.Inc(&r.env.Counters.OverloadRejects)
+	}
+	if !errors.Is(err, ErrDeadlineExceeded) {
+		return false
+	}
+	sim.Inc(&r.env.Counters.DeadlineMisses)
+	if elapsed := r.env.Clock.Cycles() - start; elapsed > r.Budget {
+		r.lat.DeadlineMiss.Observe(elapsed - r.Budget)
+	}
+	return true
+}
+
+// Fetch pulls the blob under key into dst. async selects the overlapped
+// prefetch cost model (FetchAsync, which carries no deadline). It reports
+// the attempts made and, on failure, the last attempt's error; dst is then
+// unspecified.
+func (r *RemotePath) Fetch(key uint64, dst []byte, async bool) (attempts int, err error) {
+	start := r.env.Clock.Cycles()
+	defer func() { r.lat.RemoteFetch.Observe(r.env.Clock.Cycles() - start) }()
+	dl := r.deadline()
+	for attempts = 1; attempts <= r.Retries; attempts++ {
+		if async {
+			_, err = FetchAsync(r.T, key, dst)
+		} else {
+			_, err = r.T.TryFetchUntil(key, dst, dl)
+		}
+		if err == nil {
+			return attempts, nil
+		}
+		sim.Inc(&r.env.Counters.RemoteFetchFaults)
+		if r.missed(err, start) {
+			return attempts, err
+		}
+	}
+	return r.Retries, err
+}
+
+// Push stores src under key, returning the last attempt's error on
+// failure.
+func (r *RemotePath) Push(key uint64, src []byte) error {
+	start := r.env.Clock.Cycles()
+	defer func() { r.lat.RemotePush.Observe(r.env.Clock.Cycles() - start) }()
+	dl := r.deadline()
+	var err error
+	for attempt := 1; attempt <= r.Retries; attempt++ {
+		if err = r.T.TryPushUntil(key, src, dl); err == nil {
+			return nil
+		}
+		sim.Inc(&r.env.Counters.RemotePushFaults)
+		if r.missed(err, start) {
+			break
+		}
+	}
+	return err
 }

@@ -16,65 +16,57 @@ import (
 	"trackfm/internal/sim"
 )
 
-// Wire protocol: every request is
+// Wire protocol. There is one format and no negotiation: every peer must be
+// built from the same commit, and a peer speaking anything else is refused.
 //
-//	op(1) key(8, big-endian) length(4, big-endian) payload(length)
+// Every connection opens with a hello request, a bare 13-byte frame
 //
-// where length/payload are only present for opPush. opFetch carries the
-// requested size in length (no payload) and the server answers
+//	opHello(1) helloMagic(8, big-endian) protoVersion(4, big-endian)
 //
-//	flag(1) payload(length)
+// which the server answers with
 //
-// with flag 0 (absent, zero payload follows), 1 (found), flagErr (the
-// request was rejected — no payload follows), or flagCorrupt (the stored
-// blob failed its integrity checks — no payload follows). opPush and
-// opDelete are answered with a single ack byte: ackOK, ackErr for a
-// rejected request, or ackCorrupt for a push whose CRC trailer did not
-// survive the wire.
+//	ackHello(1) protoVersion(1) flags(1) generation(8, big-endian)
 //
-// Protocol version 2 (negotiated per connection with opHello, see below)
-// adds end-to-end integrity framing: every payload-bearing frame carries a
-// CRC32-C trailer (4 bytes, big-endian) computed over the payload —
-// opPush requests become "header payload crc" and opFetch responses become
-// "flag payload crc". Connections that never send opHello speak version 1
-// unchanged, so old peers interoperate; a v2 client talking to a v1 server
-// detects the dropped handshake and falls back.
+// generation is the server's restart generation — a value that durably
+// increases every time the node restarts (0 means "not advertised") — and
+// bit 0 of flags (helloGenDurable) is set when the node recovered its store
+// from local durable state, clear when it came up empty or holds state in
+// memory only. A client that sees a replica's generation change across a
+// reconnect knows the node restarted, and the durability bit tells it
+// whether the node kept its keyspace (rejoin needs only the writes missed
+// during downtime) or lost it (full resync). A connection whose first frame
+// is not a hello carrying the magic and protoVersion is counted in
+// ServerStats.BadFrames and closed without an answer.
 //
-// Protocol version 3 keeps v2's CRC framing and appends a deadline field
-// to every request header except opHello: the 13-byte prefix is followed
-// by deadlineNs(8, big-endian), the operation's remaining budget in
-// nanoseconds (0 = no deadline). Hello frames stay 13 bytes in every
-// version so negotiation itself is version-independent. The deadline lets
-// the server shed requests it cannot finish in time: a v3 server with
-// admission control enabled may answer any request with the single byte
-// ackOverloaded (no payload follows, the stream stays in sync), which
-// clients treat as backpressure — retried after backoff, never charged to
-// the retry budget, never counted against circuit breakers. A v2 server
-// receiving a v3 offer answers v2 (it accepts any version >= 2), so new
-// clients interoperate with old servers and vice versa.
+// Every later request carries a 21-byte header
 //
-// Protocol version 4 keeps v3's request framing unchanged and extends only
-// the hello *response*: after the version byte the server appends
-// flags(1) + generation(8, big-endian), its restart generation — a value
-// that durably increases every time the node restarts (bit 0 of flags set
-// when the node recovered its store from local durable state, clear when
-// it came up empty or holds state in memory only). A client that sees a
-// replica's generation change across a reconnect knows the node restarted,
-// and the durability bit tells it whether the node kept its keyspace
-// (rejoin needs only the writes missed during downtime) or lost it (full
-// resync). Hello requests stay 13 bytes; servers answering v3 or below
-// send the old 2-byte response, so the exchange is length-unambiguous in
-// both directions.
+//	op(1) key(8, big-endian) length(4, big-endian) deadlineNs(8, big-endian)
+//
+// where deadlineNs is the operation's remaining budget in nanoseconds (0 =
+// no deadline). opPush is followed by payload(length) crc(4); opFetch
+// carries the requested size in length and opDelete ignores it. Every
+// payload on the wire, in either direction, carries a CRC32-C trailer
+// (4 bytes, big-endian) computed over the payload. A fetch is answered
+//
+//	flag(1) payload(length) crc(4)
+//
+// with flag flagAbsent (zero payload) or flagFound, or by one byte and
+// nothing else: ackErr (the request was rejected), ackCorrupt (the stored
+// blob failed its integrity checks), or ackOverloaded (see below). opPush
+// and opDelete are answered with a single ack byte: ackOK, ackErr for a
+// rejected request, ackCorrupt for a push whose CRC trailer did not
+// survive the wire, or ackOverloaded.
+//
+// The deadline lets the server shed requests it cannot finish in time: a
+// server with admission control enabled may answer any request after the
+// hello with ackOverloaded (no payload follows, the stream stays in sync),
+// which clients treat as backpressure — retried after backoff, never
+// charged to the retry budget, never counted against circuit breakers.
 const (
 	opFetch  = byte(1)
 	opPush   = byte(2)
 	opDelete = byte(3)
-	// opHello negotiates the protocol version for the connection: key
-	// carries helloMagic (so random bytes cannot accidentally negotiate),
-	// length carries the highest version the client speaks. The server
-	// answers ackHello followed by the agreed version byte. Old servers
-	// drop the connection on the unknown opcode, which the client treats
-	// as "peer speaks v1".
+	// opHello opens every connection; it is valid only as the first frame.
 	opHello = byte(4)
 
 	flagAbsent = byte(0)
@@ -89,19 +81,15 @@ const (
 	// ackCorrupt / flagCorrupt is the integrity error frame: the stored
 	// blob failed its checksum or was shorter than the requested read
 	// (fetch), or a pushed payload's CRC trailer did not verify (push).
-	// It is only sent on v2 connections — v1 peers get ackErr.
 	ackCorrupt = byte(0xC7)
 	// ackOverloaded doubles as the fetch flag and the push/delete ack for
 	// a request shed by server-side admission control before service. No
-	// payload follows. Only sent on v3 connections — earlier protocols
-	// have no deadline field and their clients would not understand the
-	// byte, so admission control never sheds them.
+	// payload follows.
 	ackOverloaded = byte(0xB7)
 
-	protoV1 = 1
-	protoV2 = 2
-	protoV3 = 3
-	protoV4 = 4
+	// protoVersion is the one protocol version, carried by the hello in
+	// both directions so a peer from another commit is refused up front.
+	protoVersion = 4
 
 	// helloGenDurable is the hello-response flags bit advertising that the
 	// node's store survives restarts (WAL + snapshots).
@@ -112,7 +100,7 @@ const (
 	helloMagic = uint64(0x54464D4641425232)
 )
 
-// crcLen is the width of the CRC32-C payload trailer in v2 frames.
+// crcLen is the width of the CRC32-C payload trailer.
 const crcLen = 4
 
 // payloadCRC is the trailer checksum over a payload frame. It deliberately
@@ -133,12 +121,12 @@ var ErrPayloadTooLarge = errors.New("fabric: payload exceeds protocol limit")
 type ServerStats struct {
 	conns       atomic.Uint64 // connections accepted
 	frames      atomic.Uint64 // well-formed request frames served
-	badFrames   atomic.Uint64 // unknown opcodes / bad hello magic (connection dropped)
+	badFrames   atomic.Uint64 // unknown opcodes / missing or wrong hello (connection dropped)
 	oversize    atomic.Uint64 // requests rejected with an error frame
-	hellos      atomic.Uint64 // connections negotiated to protocol v2
+	hellos      atomic.Uint64 // connections that completed the hello
 	sizeErrs    atomic.Uint64 // fetches of a truncated blob answered with an integrity error frame
 	corrupt     atomic.Uint64 // fetches of a checksum-failing blob answered with an integrity error frame
-	wireRejects atomic.Uint64 // v2 pushes whose CRC trailer failed verification (not stored)
+	wireRejects atomic.Uint64 // pushes whose CRC trailer failed verification (not stored)
 	sheds       atomic.Uint64 // requests rejected by admission control with an overload frame
 	storeFails  atomic.Uint64 // writes the backing store refused (e.g. WAL append failure): answered with an error frame, never acked
 }
@@ -154,14 +142,16 @@ func (s *ServerStats) Conns() uint64 { return s.conns.Load() }
 // Frames reports well-formed request frames served.
 func (s *ServerStats) Frames() uint64 { return s.frames.Load() }
 
-// BadFrames reports frames with unknown opcodes.
+// BadFrames reports frames with unknown opcodes and connections whose first
+// frame was not a valid hello.
 func (s *ServerStats) BadFrames() uint64 { return s.badFrames.Load() }
 
 // OversizeRejects reports requests rejected for advertising a payload
 // above the protocol limit.
 func (s *ServerStats) OversizeRejects() uint64 { return s.oversize.Load() }
 
-// Hellos reports connections that negotiated the v2 (CRC-framed) protocol.
+// Hellos reports connections that completed the hello (right magic, right
+// version).
 func (s *ServerStats) Hellos() uint64 { return s.hellos.Load() }
 
 // SizeMismatches reports fetches that found a stored blob shorter than the
@@ -173,7 +163,7 @@ func (s *ServerStats) SizeMismatches() uint64 { return s.sizeErrs.Load() }
 // checksum and were answered with an integrity error frame.
 func (s *ServerStats) CorruptBlobs() uint64 { return s.corrupt.Load() }
 
-// WireRejects reports v2 pushes whose payload CRC trailer failed
+// WireRejects reports pushes whose payload CRC trailer failed
 // verification; the payload was discarded, never stored.
 func (s *ServerStats) WireRejects() uint64 { return s.wireRejects.Load() }
 
@@ -206,7 +196,7 @@ type Server struct {
 	stats     ServerStats
 	admission atomic.Pointer[Admission]
 
-	// gen/durable are what the v4 hello response advertises (see the
+	// gen/durable are what the hello response advertises (see the
 	// protocol comment above); SetGeneration installs them before serving.
 	gen     atomic.Uint64
 	durable atomic.Bool
@@ -225,7 +215,7 @@ func NewServer(store BlobStore) *Server {
 }
 
 // SetGeneration installs the restart generation the server advertises in
-// v4 hello responses, and whether the backing store is durable (recovered
+// hello responses, and whether the backing store is durable (recovered
 // from local WAL + snapshot state rather than starting empty). Call before
 // ListenAndServe; a generation of 0 means "not advertised" and clients
 // ignore it.
@@ -241,10 +231,9 @@ func (s *Server) Stats() *ServerStats { return &s.stats }
 func (s *Server) Store() BlobStore { return s.store }
 
 // EnableAdmission installs an admission controller built from cfg and
-// returns it (for stats registration). Only requests on v3-negotiated
-// connections are subject to shedding — earlier protocols have no
-// overload frame — and with no controller installed the server accepts
-// everything, exactly as before.
+// returns it (for stats registration). Every request after the hello is
+// subject to shedding; with no controller installed the server accepts
+// everything.
 func (s *Server) EnableAdmission(cfg AdmissionConfig) *Admission {
 	a := NewAdmission(cfg)
 	s.admission.Store(a)
@@ -312,26 +301,26 @@ func (s *Server) handle(conn net.Conn) {
 	}()
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
-	ver := protoV1 // until the connection negotiates otherwise
-	var hdr [13]byte
+	if !s.hello(r, w) {
+		return
+	}
+	var hdr [21]byte
 	for {
+		if s.draining.Load() {
+			// Shutdown in progress: the previous frame was fully served
+			// and acked; hang up now instead of reading the next request.
+			// The client's retry machinery treats the close like any
+			// other connection loss.
+			return
+		}
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return
 		}
 		op := hdr[0]
 		key := binary.BigEndian.Uint64(hdr[1:9])
 		length := binary.BigEndian.Uint32(hdr[9:13])
-		var deadlineNs uint64
-		if ver >= protoV3 && op != opHello {
-			// v3 request headers carry the remaining budget after the
-			// common 13-byte prefix; hello frames never do.
-			var dlb [8]byte
-			if _, err := io.ReadFull(r, dlb[:]); err != nil {
-				return
-			}
-			deadlineNs = binary.BigEndian.Uint64(dlb[:])
-		}
-		if op != opHello && length > maxPayload {
+		deadlineNs := binary.BigEndian.Uint64(hdr[13:21])
+		if length > maxPayload {
 			// Answer with an error frame rather than silently
 			// dropping the connection; the client sees a definite
 			// rejection. After an oversize opPush the stream cannot
@@ -347,11 +336,11 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			continue
 		}
-		if adm := s.admission.Load(); adm != nil && ver >= protoV3 && op != opHello {
+		if adm := s.admission.Load(); adm != nil {
 			if v := adm.OfferEstimate(deadlineNs); v.Shed() {
-				// A shed push's payload (and CRC trailer — v3 implies v2
-				// framing) is already on the wire; consume it so the
-				// stream stays in sync for the next request.
+				// A shed push's payload and CRC trailer are already on
+				// the wire; consume them so the stream stays in sync for
+				// the next request.
 				if op == opPush {
 					if _, err := io.CopyN(io.Discard, r, int64(length)+crcLen); err != nil {
 						return
@@ -370,45 +359,6 @@ func (s *Server) handle(conn net.Conn) {
 			admStart = time.Now()
 		}
 		switch op {
-		case opHello:
-			if key != helloMagic {
-				// A stray frame that happens to use the hello opcode
-				// is a protocol violation, not a handshake.
-				s.stats.badFrames.Add(1)
-				return
-			}
-			agreed := protoV1
-			switch {
-			case length >= protoV4:
-				agreed = protoV4
-			case length == protoV3:
-				agreed = protoV3
-			case length == protoV2:
-				agreed = protoV2
-			}
-			if err := w.WriteByte(ackHello); err != nil {
-				return
-			}
-			if err := w.WriteByte(byte(agreed)); err != nil {
-				return
-			}
-			if agreed >= protoV4 {
-				// v4 hello responses carry identity: flags + restart
-				// generation, so a reconnecting client can tell whether
-				// the node restarted and whether it kept its keyspace.
-				var id [9]byte
-				if s.durable.Load() {
-					id[0] |= helloGenDurable
-				}
-				binary.BigEndian.PutUint64(id[1:9], s.gen.Load())
-				if _, err := w.Write(id[:]); err != nil {
-					return
-				}
-			}
-			ver = agreed
-			if agreed >= protoV2 {
-				s.stats.hellos.Add(1)
-			}
 		case opFetch:
 			lease := bufpool.Get(int(length))
 			buf := lease.Bytes()
@@ -424,12 +374,8 @@ func (s *Server) handle(conn net.Conn) {
 				} else {
 					s.stats.corrupt.Add(1)
 				}
-				errFlag := ackErr
-				if ver >= protoV2 {
-					errFlag = ackCorrupt
-				}
 				lease.Release()
-				if werr := w.WriteByte(errFlag); werr != nil {
+				if werr := w.WriteByte(ackCorrupt); werr != nil {
 					return
 				}
 				break
@@ -446,15 +392,10 @@ func (s *Server) handle(conn net.Conn) {
 				lease.Release()
 				return
 			}
-			crcOK := true
-			if ver >= protoV2 {
-				var crc [crcLen]byte
-				binary.BigEndian.PutUint32(crc[:], payloadCRC(buf))
-				_, err := w.Write(crc[:])
-				crcOK = err == nil
-			}
+			var crc [crcLen]byte
+			binary.BigEndian.PutUint32(crc[:], payloadCRC(buf))
 			lease.Release()
-			if !crcOK {
+			if _, err := w.Write(crc[:]); err != nil {
 				return
 			}
 		case opPush:
@@ -464,24 +405,22 @@ func (s *Server) handle(conn net.Conn) {
 				lease.Release()
 				return
 			}
-			if ver >= protoV2 {
-				var crc [crcLen]byte
-				if _, err := io.ReadFull(r, crc[:]); err != nil {
-					lease.Release()
+			var crc [crcLen]byte
+			if _, err := io.ReadFull(r, crc[:]); err != nil {
+				lease.Release()
+				return
+			}
+			if binary.BigEndian.Uint32(crc[:]) != payloadCRC(buf) {
+				// The payload was damaged in flight. Discard it —
+				// storing it would turn transient wire corruption
+				// into durable corruption — and tell the client,
+				// which retries the (idempotent) push.
+				s.stats.wireRejects.Add(1)
+				lease.Release()
+				if err := w.WriteByte(ackCorrupt); err != nil {
 					return
 				}
-				if binary.BigEndian.Uint32(crc[:]) != payloadCRC(buf) {
-					// The payload was damaged in flight. Discard it —
-					// storing it would turn transient wire corruption
-					// into durable corruption — and tell the client,
-					// which retries the (idempotent) push.
-					s.stats.wireRejects.Add(1)
-					lease.Release()
-					if err := w.WriteByte(ackCorrupt); err != nil {
-						return
-					}
-					break
-				}
+				break
 			}
 			ack := ackOK
 			err := s.store.Put(key, buf)
@@ -519,14 +458,36 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			admPending = false
 		}
-		if s.draining.Load() {
-			// Shutdown in progress: the current frame was fully served and
-			// acked; hang up now instead of reading the next request. The
-			// client's retry machinery treats the close like any other
-			// connection loss.
-			return
-		}
 	}
+}
+
+// hello runs the connection's opening handshake (see the protocol comment
+// above) and reports whether the connection may go on to serve requests.
+// Anything but a hello with the magic and protoVersion is a bad frame: the
+// caller closes the connection without answering it.
+func (s *Server) hello(r *bufio.Reader, w *bufio.Writer) bool {
+	var hdr [13]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return false
+	}
+	if hdr[0] != opHello || binary.BigEndian.Uint64(hdr[1:9]) != helloMagic ||
+		binary.BigEndian.Uint32(hdr[9:13]) != protoVersion {
+		s.stats.badFrames.Add(1)
+		return false
+	}
+	var resp [11]byte
+	resp[0] = ackHello
+	resp[1] = protoVersion
+	if s.durable.Load() {
+		resp[2] |= helloGenDurable
+	}
+	binary.BigEndian.PutUint64(resp[3:11], s.gen.Load())
+	if _, err := w.Write(resp[:]); err != nil {
+		return false
+	}
+	s.stats.hellos.Add(1)
+	s.stats.frames.Add(1)
+	return w.Flush() == nil
 }
 
 // Close shuts the listener and all live connections.
@@ -606,27 +567,6 @@ func (s *Server) Shutdown(grace time.Duration) error {
 	}
 }
 
-// WireVersion selects how a TCPTransport frames payloads.
-type WireVersion int
-
-const (
-	// WireAuto negotiates: the client offers v2 (CRC trailers) and falls
-	// back to v1 when the server drops the handshake (an old peer). The
-	// fallback is sticky per transport so an old server is not re-probed
-	// on every reconnect.
-	WireAuto WireVersion = iota
-	// WireV1 forces the legacy CRC-less protocol (no handshake is sent).
-	WireV1
-	// WireV2 requires CRC framing: a peer that cannot negotiate v2 is a
-	// permanent ErrProtocol. Use when integrity must not silently degrade.
-	WireV2
-	// WireV3 requires deadline framing: a peer that cannot negotiate v3 is
-	// a permanent ErrProtocol. Use when deadline propagation and overload
-	// shedding must not silently degrade; WireAuto clients still offer v3
-	// and use it whenever the server speaks it.
-	WireV3
-)
-
 // DialOptions tunes a TCPTransport's fault handling.
 type DialOptions struct {
 	// Retry bounds per-operation re-issues; zero fields take defaults
@@ -639,10 +579,6 @@ type DialOptions struct {
 	// zero seed selects sim.NewRNG's fixed default, so the schedule is
 	// reproducible even when unset.
 	Seed uint64
-	// Wire selects the payload framing (default WireAuto: negotiate the
-	// highest version the server speaks — v3 deadline + CRC framing —
-	// falling back to v1 against old servers).
-	Wire WireVersion
 	// Budget bounds retries across all operations of the transport (see
 	// RetryBudget). Nil gives the transport a private default budget;
 	// pass a shared one to bound several transports' combined retry
@@ -650,21 +586,20 @@ type DialOptions struct {
 	Budget *RetryBudget
 }
 
-// TCPTransport is a Transport backed by a real TCP connection to a Server.
-// It implements ErrorTransport: the Try methods surface typed errors, apply
-// per-operation deadlines, retry with deterministic-jitter backoff, and
-// transparently reconnect after the connection is marked dead. On v2
-// connections every payload crossing the wire carries a CRC32-C trailer;
-// corruption in flight is detected on receipt (ErrIntegrity, counted in
-// Stats.ChecksumFaults) and healed by the retry loop instead of being
-// handed to the caller. The legacy Transport methods remain as degrading
-// adapters (errors become not-found / dropped ops, tallied in Stats as
-// degraded). It is safe for concurrent use.
+// TCPTransport is an ErrorTransport backed by a real TCP connection to a
+// Server speaking the one wire protocol above. Its methods surface typed
+// errors, apply per-operation deadlines, retry with deterministic-jitter
+// backoff, and transparently reconnect (with a fresh hello) after the
+// connection is marked dead. Every payload crossing the wire carries a
+// CRC32-C trailer; corruption in flight is detected on receipt
+// (ErrIntegrity, counted in Stats.ChecksumFaults) and healed by the retry
+// loop instead of being handed to the caller. The server must be built
+// from the same commit: a peer that answers the hello with another version
+// is a permanent ErrProtocol. It is safe for concurrent use.
 type TCPTransport struct {
 	addr      string
 	policy    RetryPolicy
 	opTimeout time.Duration
-	wire      WireVersion
 	budget    *RetryBudget
 	stats     Stats
 
@@ -672,17 +607,16 @@ type TCPTransport struct {
 	conn        net.Conn
 	r           *bufio.Reader
 	w           *bufio.Writer
-	ver         int      // negotiated protocol version of the live connection
-	legacy      bool     // sticky: peer dropped the handshake, speak v1 (WireAuto only)
+	helloed     bool     // the live connection completed its hello
 	dl          Deadline // deadline of the operation currently holding mu (zero = none)
-	peerGen     uint64   // restart generation from the last v4 hello (0 = never seen)
+	peerGen     uint64   // restart generation from the last hello (0 = never seen)
 	peerDurable bool     // the peer advertised a durable (recovered) store
 	rng         *sim.RNG
 	closed      bool
 }
 
 // IdentityReporter is implemented by transports that learn the peer's
-// restart generation from the v4 hello exchange. A ReplicaSet uses it to
+// restart generation from the hello exchange. A ReplicaSet uses it to
 // tell a restarted replica (generation changed) from a flaky link, and the
 // durable bit to choose between a delta rejoin (repair only the keys
 // written during its downtime) and a full resync.
@@ -711,13 +645,12 @@ func Dial(addr string) (*TCPTransport, error) {
 // options. The initial dial is not retried: an unreachable server at
 // construction time is a configuration error the caller should see
 // immediately. Once constructed, the transport survives server restarts by
-// reconnecting on demand (renegotiating the wire version each time).
+// reconnecting on demand (with a fresh hello each time).
 func DialWith(addr string, opts DialOptions) (*TCPTransport, error) {
 	t := &TCPTransport{
 		addr:      addr,
 		policy:    opts.Retry.withDefaults(),
 		opTimeout: opts.OpTimeout,
-		wire:      opts.Wire,
 		budget:    opts.Budget,
 		rng:       sim.NewRNG(opts.Seed),
 	}
@@ -745,24 +678,6 @@ func (t *TCPTransport) Stats() *Stats { return &t.stats }
 // sharing with sibling transports at construction time via DialOptions).
 func (t *TCPTransport) RetryBudget() *RetryBudget { return t.budget }
 
-// WireVersionInUse reports the protocol version of the live connection
-// (0 when disconnected). Mostly useful in tests and stats reporters.
-func (t *TCPTransport) WireVersionInUse() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.conn == nil {
-		return 0
-	}
-	return t.ver
-}
-
-func (t *TCPTransport) attach(conn net.Conn, ver int) {
-	t.conn = conn
-	t.r = bufio.NewReader(conn)
-	t.w = bufio.NewWriter(conn)
-	t.ver = ver
-}
-
 // markDead tears down the current connection so the next attempt re-dials.
 // Called under t.mu after any mid-operation error: a partially consumed
 // response would otherwise desynchronize the stream and every later reply
@@ -773,13 +688,12 @@ func (t *TCPTransport) markDead() {
 		t.conn = nil
 		t.r = nil
 		t.w = nil
-		t.ver = 0
+		t.helloed = false
 	}
 }
 
 // ensureConn re-dials if the connection was marked dead. The attached
-// connection starts with version 0 ("handshake pending") unless the
-// transport is configured or stickily downgraded to v1. Caller holds t.mu.
+// connection starts with its hello pending. Caller holds t.mu.
 func (t *TCPTransport) ensureConn() error {
 	if t.conn != nil {
 		return nil
@@ -788,79 +702,48 @@ func (t *TCPTransport) ensureConn() error {
 	if err != nil {
 		return err
 	}
-	ver := 0 // hello pending
-	if t.wire == WireV1 || (t.wire == WireAuto && t.legacy) {
-		ver = protoV1
-	}
-	t.attach(conn, ver)
+	t.conn = conn
+	t.r = bufio.NewReader(conn)
+	t.w = bufio.NewWriter(conn)
 	t.stats.reconnects.Add(1)
 	return nil
 }
 
-// ensureHello negotiates the wire version on a freshly attached connection.
-// It runs lazily on the first operation over each connection (not at dial
-// time), so DialWith stays a pure reachability check and handshake failures
-// flow through the per-operation retry/typed-error machinery. A peer that
-// closes the connection on the hello opcode is an old v1 server: under
-// WireAuto the transport stickily falls back to v1 and redials; under
-// WireV2 that peer is a permanent protocol error. Caller holds t.mu.
+// ensureHello sends the hello on a freshly attached connection and records
+// the peer's identity from the answer. It runs lazily on the first
+// operation over each connection (not at dial time), so DialWith stays a
+// pure reachability check and handshake failures flow through the
+// per-operation retry/typed-error machinery. A connection lost during the
+// hello is retried like any other; an answer that is not this protocol's
+// hello response is a permanent ErrProtocol. Caller holds t.mu.
 func (t *TCPTransport) ensureHello() error {
-	if t.ver != 0 {
+	if t.helloed {
 		return nil
 	}
 	t.conn.SetDeadline(time.Now().Add(t.opTimeout))
 	var hdr [13]byte
 	hdr[0] = opHello
 	binary.BigEndian.PutUint64(hdr[1:9], helloMagic)
-	binary.BigEndian.PutUint32(hdr[9:13], protoV4)
+	binary.BigEndian.PutUint32(hdr[9:13], protoVersion)
 	_, err := t.w.Write(hdr[:])
 	if err == nil {
 		err = t.w.Flush()
 	}
-	var resp [2]byte
+	var resp [11]byte
 	if err == nil {
 		_, err = io.ReadFull(t.r, resp[:])
 	}
 	if err != nil {
 		t.markDead()
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			if t.wire == WireV2 || t.wire == WireV3 {
-				return permanent(fmt.Errorf("%w: peer does not speak versioned protocol", ErrProtocol))
-			}
-			t.legacy = true
-			t.stats.downgrades.Add(1)
-			return t.ensureConn() // redial; legacy is set, so no hello
-		}
 		return err
 	}
-	if resp[0] != ackHello {
+	if resp[0] != ackHello || resp[1] != protoVersion {
 		t.markDead()
-		return permanent(fmt.Errorf("%w: hello ack %#x", ErrProtocol, resp[0]))
+		return permanent(fmt.Errorf("%w: hello answered %#x version %d, want version %d", ErrProtocol, resp[0], resp[1], protoVersion))
 	}
-	ver := int(resp[1])
-	if ver < protoV1 || ver > protoV4 {
-		t.markDead()
-		return permanent(fmt.Errorf("%w: hello version %d", ErrProtocol, ver))
-	}
-	if ver >= protoV4 {
-		// A v4 hello response carries identity: flags(1) + generation(8).
-		var id [9]byte
-		if _, err := io.ReadFull(t.r, id[:]); err != nil {
-			t.markDead()
-			return err
-		}
-		t.peerDurable = id[0]&helloGenDurable != 0
-		t.peerGen = binary.BigEndian.Uint64(id[1:9])
-	}
-	if ver < protoV2 && t.wire == WireV2 {
-		t.markDead()
-		return permanent(fmt.Errorf("%w: peer negotiated v%d, need v2", ErrProtocol, ver))
-	}
-	if ver < protoV3 && t.wire == WireV3 {
-		t.markDead()
-		return permanent(fmt.Errorf("%w: peer negotiated v%d, need v3", ErrProtocol, ver))
-	}
-	t.ver = ver
+	t.peerDurable = resp[2]&helloGenDurable != 0
+	t.peerGen = binary.BigEndian.Uint64(resp[3:11])
+	t.helloed = true
 	return nil
 }
 
@@ -969,24 +852,15 @@ func (t *TCPTransport) writeHeader(op byte, key uint64, length uint32) error {
 	hdr[0] = op
 	binary.BigEndian.PutUint64(hdr[1:9], key)
 	binary.BigEndian.PutUint32(hdr[9:13], length)
-	n := 13
-	if t.ver >= protoV3 {
-		// v3 request headers carry the operation's remaining budget so
-		// the server can shed requests it cannot finish in time.
-		binary.BigEndian.PutUint64(hdr[13:21], t.dl.RemainingNanos())
-		n = 21
-	}
-	_, err := t.w.Write(hdr[:n])
+	// The operation's remaining budget lets the server shed requests it
+	// cannot finish in time.
+	binary.BigEndian.PutUint64(hdr[13:21], t.dl.RemainingNanos())
+	_, err := t.w.Write(hdr[:])
 	return err
 }
 
-// TryFetch is TryFetchUntil with no deadline, kept for call-site brevity.
-func (t *TCPTransport) TryFetch(key uint64, dst []byte) (bool, error) {
-	return t.TryFetchUntil(key, dst, Deadline{})
-}
-
 // TryFetchUntil implements ErrorTransport: a fetch bounded end to end by
-// dl. The remaining budget rides in each v3 request header, bounds each
+// dl. The remaining budget rides in each request header, bounds each
 // attempt's socket deadline, and clamps retry backoff; an operation whose
 // budget runs out — or whose result arrives late — fails with
 // ErrDeadlineExceeded and the late result is discarded.
@@ -1031,17 +905,15 @@ func (t *TCPTransport) TryFetchUntil(key uint64, dst []byte, dl Deadline) (bool,
 		if _, err := io.ReadFull(t.r, dst); err != nil {
 			return err
 		}
-		if t.ver >= protoV2 {
-			var crc [crcLen]byte
-			if _, err := io.ReadFull(t.r, crc[:]); err != nil {
-				return err
-			}
-			if binary.BigEndian.Uint32(crc[:]) != payloadCRC(dst) {
-				// In-flight corruption: the connection's framing may
-				// also be suspect, so the conn is torn down (do's
-				// error path) and the retry re-reads over a fresh one.
-				return fmt.Errorf("%w: fetch payload CRC mismatch", ErrIntegrity)
-			}
+		var crc [crcLen]byte
+		if _, err := io.ReadFull(t.r, crc[:]); err != nil {
+			return err
+		}
+		if binary.BigEndian.Uint32(crc[:]) != payloadCRC(dst) {
+			// In-flight corruption: the connection's framing may
+			// also be suspect, so the conn is torn down (do's
+			// error path) and the retry re-reads over a fresh one.
+			return fmt.Errorf("%w: fetch payload CRC mismatch", ErrIntegrity)
 		}
 		found = flag == flagFound
 		return nil
@@ -1050,11 +922,6 @@ func (t *TCPTransport) TryFetchUntil(key uint64, dst []byte, dl Deadline) (bool,
 		return false, err
 	}
 	return found, nil
-}
-
-// TryPush is TryPushUntil with no deadline, kept for call-site brevity.
-func (t *TCPTransport) TryPush(key uint64, src []byte) error {
-	return t.TryPushUntil(key, src, Deadline{})
 }
 
 // TryPushUntil implements ErrorTransport (see TryFetchUntil).
@@ -1069,24 +936,16 @@ func (t *TCPTransport) TryPushUntil(key uint64, src []byte, dl Deadline) error {
 		if _, err := t.w.Write(src); err != nil {
 			return err
 		}
-		if t.ver >= protoV2 {
-			var crc [crcLen]byte
-			binary.BigEndian.PutUint32(crc[:], payloadCRC(src))
-			if _, err := t.w.Write(crc[:]); err != nil {
-				return err
-			}
+		var crc [crcLen]byte
+		binary.BigEndian.PutUint32(crc[:], payloadCRC(src))
+		if _, err := t.w.Write(crc[:]); err != nil {
+			return err
 		}
 		if err := t.w.Flush(); err != nil {
 			return err
 		}
 		return t.readAck("push")
 	})
-}
-
-// TryDelete is TryDeleteUntil with no deadline, kept for call-site
-// brevity.
-func (t *TCPTransport) TryDelete(key uint64) error {
-	return t.TryDeleteUntil(key, Deadline{})
 }
 
 // TryDeleteUntil implements ErrorTransport (see TryFetchUntil).
@@ -1127,9 +986,6 @@ func (t *TCPTransport) readAck(op string) error {
 	}
 }
 
-// TCPTransport intentionally has no infallible Fetch/Push/Delete methods:
-// callers that accept best-effort semantics wrap it in Degrading{t}.
-
 // Close closes the underlying connection; all later operations fail with
 // ErrClosed.
 func (t *TCPTransport) Close() error {
@@ -1146,7 +1002,6 @@ func (t *TCPTransport) Close() error {
 	return err
 }
 
-var _ Transport = Degrading{}
 var _ ErrorTransport = (*TCPTransport)(nil)
 var _ IdentityReporter = (*TCPTransport)(nil)
 var _ BlobStore = (*remote.Store)(nil)

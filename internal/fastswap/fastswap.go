@@ -18,7 +18,6 @@ package fastswap
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -115,13 +114,17 @@ type Swap struct {
 	mu       sync.Mutex
 	env      *sim.Env
 	lat      *sim.Latencies
-	link     fabric.ErrorTransport
 	replicas *fabric.ReplicaSet // non-nil only when Config.Replicas was set
 	closer   func() error       // non-nil only when the swap dialed RemoteAddr
-	retries  int
-	dlBudget uint64 // per-op deadline in clock cycles; 0 = none
 	pageSize int
 	shift    uint
+
+	// remote is the swap device path. Unlike the object pool there is no
+	// degraded mode on top of it: the kernel analogue has no
+	// application-visible fallback, so a missed deadline simply bounds
+	// the retry loop and surfaces (a SIGBUS analogue for swap-in, a
+	// stalled reclaim for swap-out).
+	remote fabric.RemotePath
 
 	heapSize uint64
 	brk      uint64
@@ -196,11 +199,9 @@ func New(cfg Config) (*Swap, error) {
 	s := &Swap{
 		env:        cfg.Env,
 		lat:        cfg.Env.Lat(),
-		link:       link,
+		remote:     cfg.Path(link, cfg.Env),
 		replicas:   replicas,
 		closer:     closer,
-		retries:    cfg.Retries(),
-		dlBudget:   cfg.OpDeadline,
 		pageSize:   cfg.PageSize,
 		shift:      uint(bits.TrailingZeros(uint(cfg.PageSize))),
 		heapSize:   cfg.HeapSize,
@@ -372,12 +373,12 @@ func (s *Swap) fault(pg uint64, write bool) uint64 {
 			sim.Inc(&s.env.Counters.TierMisses)
 		}
 		sim.Inc(&s.env.Counters.MajorFaults)
-		if err := s.fetchPage(pg, buf); err != nil {
+		if attempts, err := s.remote.Fetch(pg, buf, false); err != nil {
 			// The kernel's swap-in I/O-error path: the process gets
 			// SIGBUS. Panicking with the typed fabric error is the
 			// simulation analogue — under no circumstances is the
 			// mutator handed a zero-filled page in place of its data.
-			panic(fmt.Sprintf("fastswap: unrecoverable remote fault on page %d: %v", pg, err))
+			panic(fmt.Sprintf("fastswap: unrecoverable remote fault on page %d: fetch after %d attempts: %v", pg, attempts, err))
 		}
 		if !direct {
 			s.arena.WriteAt(base, buf)
@@ -389,35 +390,6 @@ func (s *Swap) fault(pg uint64, write bool) uint64 {
 	default:
 		panic("fastswap: fault on mapped page")
 	}
-}
-
-// opDeadline starts a fresh per-op deadline, or the zero Deadline when the
-// swap runs without a budget. Unlike the object pool there is no degraded
-// mode: the kernel analogue has no application-visible fallback, so a
-// missed deadline simply bounds the retry loop and surfaces (a SIGBUS
-// analogue for swap-in, a stalled reclaim for swap-out).
-func (s *Swap) opDeadline() fabric.Deadline {
-	if s.dlBudget == 0 {
-		return fabric.Deadline{}
-	}
-	return fabric.DeadlineAfter(&s.env.Clock, s.dlBudget)
-}
-
-// noteRemoteErr tallies overload rejects and deadline misses on a failed
-// remote operation that started at cycle start, reporting whether err was
-// a deadline miss (which ends the retry loop).
-func (s *Swap) noteRemoteErr(err error, start uint64) bool {
-	if errors.Is(err, fabric.ErrOverloaded) {
-		sim.Inc(&s.env.Counters.OverloadRejects)
-	}
-	if !errors.Is(err, fabric.ErrDeadlineExceeded) {
-		return false
-	}
-	sim.Inc(&s.env.Counters.DeadlineMisses)
-	if elapsed := s.env.Clock.Cycles() - start; elapsed > s.dlBudget {
-		s.lat.DeadlineMiss.Observe(elapsed - s.dlBudget)
-	}
-	return true
 }
 
 // frameBuf returns a page-size buffer over frame base: the arena's own
@@ -432,30 +404,6 @@ func (s *Swap) frameBuf(base uint64) (buf []byte, lease bufpool.Lease, direct bo
 	}
 	l := s.slab.Get()
 	return l.Bytes(), l, false
-}
-
-// fetchPage pulls a remote page with the swap system's retry budget,
-// tallying each failed attempt in Counters.RemoteFetchFaults. An
-// OpDeadline bounds the whole retry loop.
-func (s *Swap) fetchPage(pg uint64, buf []byte) error {
-	start := s.env.Clock.Cycles()
-	defer func() { s.lat.RemoteFetch.Observe(s.env.Clock.Cycles() - start) }()
-	dl := s.opDeadline()
-	var last error
-	attempts := 0
-	for attempt := 1; attempt <= s.retries; attempt++ {
-		attempts = attempt
-		if _, err := s.link.TryFetchUntil(pg, buf, dl); err == nil {
-			return nil
-		} else {
-			last = err
-			sim.Inc(&s.env.Counters.RemoteFetchFaults)
-			if s.noteRemoteErr(err, start) {
-				break
-			}
-		}
-	}
-	return fmt.Errorf("fastswap: fetch page %d after %d attempts: %w", pg, attempts, last)
 }
 
 func (s *Swap) install(pg uint64, f uint32, write bool) {
@@ -492,7 +440,7 @@ func (s *Swap) maybeReadahead(pg uint64) {
 		}
 		base := uint64(f) * uint64(s.pageSize)
 		buf, lease, direct := s.frameBuf(base)
-		if _, err := fabric.FetchAsync(s.link, next, buf); err != nil {
+		if _, err := fabric.FetchAsync(s.remote.T, next, buf); err != nil {
 			// Readahead is speculation: return the frame and stop the
 			// window rather than installing a zero-filled page.
 			sim.Inc(&s.env.Counters.RemoteFetchFaults)
@@ -561,7 +509,7 @@ func (s *Swap) evict(f uint32, pg uint64) bool {
 		if !direct {
 			s.arena.ReadAt(base, buf)
 		}
-		err := s.pushPage(pg, buf)
+		err := s.remote.Push(pg, buf)
 		lease.Release()
 		if err != nil {
 			sim.Inc(&s.env.Counters.EvictionStalls)
@@ -594,28 +542,6 @@ func (s *Swap) demoteToTier(pg, base uint64) {
 		sim.Inc(&s.env.Counters.TierDemotes)
 	}
 	lease.Release()
-}
-
-// pushPage writes a page back with the swap system's retry budget,
-// tallying each failed attempt in Counters.RemotePushFaults. An
-// OpDeadline bounds the whole retry loop.
-func (s *Swap) pushPage(pg uint64, buf []byte) error {
-	start := s.env.Clock.Cycles()
-	defer func() { s.lat.RemotePush.Observe(s.env.Clock.Cycles() - start) }()
-	dl := s.opDeadline()
-	var last error
-	for attempt := 1; attempt <= s.retries; attempt++ {
-		if err := s.link.TryPushUntil(pg, buf, dl); err == nil {
-			return nil
-		} else {
-			last = err
-			sim.Inc(&s.env.Counters.RemotePushFaults)
-			if s.noteRemoteErr(err, start) {
-				break
-			}
-		}
-	}
-	return last
 }
 
 // EvacuateAll reclaims every resident page, starting measurement cold.
