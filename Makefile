@@ -93,14 +93,16 @@ test-tiers:
 	$(GO) test -race -run 'TestTierConcurrent' ./internal/aifm ./internal/mem/ctier
 
 # The allocation-regression gates: testing.AllocsPerRun must report zero
-# heap allocations per op on the guard fast path and on steady-state
-# demand fetch (clean and dirty) over SimLink, plus the bufpool unit
+# heap allocations per op on the guard fast path, on resident chunked and
+# guarded 8-byte loads and stores, and on steady-state demand fetch (clean
+# and dirty) over SimLink, plus the codec, bufpool and tier unit
 # tests (leak/double-release detection, class routing, slab reuse) and
 # the end-to-end wire-lease leak check. Run without -race: the race
 # detector's instrumentation allocates, so the gates skip themselves
 # under it (the -race coverage of the same code lives in `test`).
 test-allocs:
 	$(GO) test -run 'TestGuardFastPathAllocFree|TestSteadyStateFetch|TestSteadyStateTierHit' ./internal/aifm
+	$(GO) test -run 'TestCursorLoadStoreAllocFree|TestRuntimeLoadStoreAllocFree' ./internal/core
 	$(GO) test ./internal/mem/...
 	$(GO) test -run 'TestWireLeasesNetZero' ./internal/fabric
 
@@ -112,16 +114,17 @@ test-soak:
 
 # Short deterministic-budget runs of the fuzzers: the one wire-protocol
 # frame decoder from raw bytes and, past a valid hello, through its CRC
-# trailers and deadline fields, then the concurrent-scope, WAL, codec and
-# tier fuzzers (go test accepts one -fuzz pattern per invocation, hence one
-# run each).
+# trailers and deadline fields, then the concurrent-scope, WAL, codec,
+# codec-against-reference and tier fuzzers (go test fuzzes one target per
+# invocation, so each pattern matches exactly one).
 fuzz-short:
 	$(GO) test -run=^$$ -fuzz=FuzzWireProtocol -fuzztime=30s ./internal/fabric
 	$(GO) test -run=^$$ -fuzz=FuzzCRCFrame -fuzztime=30s ./internal/fabric
 	$(GO) test -run=^$$ -fuzz=FuzzDeadlineFrame -fuzztime=30s ./internal/fabric
 	$(GO) test -race -run=^$$ -fuzz=FuzzConcurrentScopes -fuzztime=30s ./internal/aifm
 	$(GO) test -run=^$$ -fuzz=FuzzWALRecord -fuzztime=30s ./internal/remote
-	$(GO) test -run=^$$ -fuzz=FuzzCodec -fuzztime=30s ./internal/mem/ctier
+	$(GO) test -run=^$$ -fuzz='^FuzzCodec$$' -fuzztime=30s ./internal/mem/ctier
+	$(GO) test -run=^$$ -fuzz=FuzzCodecMatchesReference -fuzztime=30s ./internal/mem/ctier
 	$(GO) test -run=^$$ -fuzz=FuzzTierOps -fuzztime=30s ./internal/mem/ctier
 
 bench:

@@ -1499,6 +1499,25 @@ func (p *Pool) EvacuateAll() {
 	}
 }
 
+// Window returns the arena bytes of resident object id — objSize bytes
+// aliasing its slot — or nil when the arena has no bytes to expose (a
+// phantom arena). It is the zero-copy form of Read and Write for a caller
+// that holds a pin on id: the slice is valid only while that pin is held,
+// since an unpinned object can be evicted and its slot reused. Writing
+// through the window does not set the dirty bit; the caller must have
+// localized id for write (LocalizePin(id, true)) first.
+func (p *Pool) Window(id ObjectID) []byte {
+	if p.arenaWin == nil {
+		return nil
+	}
+	m := p.metaAt(id)
+	if !m.Present() {
+		panic("aifm: Window of non-resident object (guard ordering bug)")
+	}
+	w, _ := p.arenaWin.Window(m.DataAddr(), uint64(p.objSize))
+	return w
+}
+
 // Read copies object bytes [off, off+len(dst)) into dst. The object must
 // be resident (call Localize first) and, under concurrency, pinned for the
 // duration of the copy; the TrackFM guard layer guarantees both.

@@ -25,6 +25,12 @@ import (
 // boundary pays the locality-invariant guard, which pins the new object in
 // local memory for the duration of the chunk (so the evacuator cannot
 // delocalize mid-chunk) and optionally prefetches the objects ahead.
+//
+// While an object is pinned the cursor keeps its arena window — the
+// runtime analogue of the paper's chunk pointer — so an access inside the
+// chunk is a bounds check and a direct load or store, with no call into
+// the pool. A phantom arena has no window; its accesses go through the
+// pool as before.
 type Cursor struct {
 	rt       *Runtime
 	base     Ptr
@@ -33,6 +39,9 @@ type Cursor struct {
 
 	obj    aifm.ObjectID
 	pinned bool
+	win    []byte // arena bytes of the pinned object; nil if none or phantom
+
+	scratch [8]byte // LoadU64/StoreU64 bounce buffer off the window path
 
 	prefetch bool
 	closed   bool
@@ -70,12 +79,14 @@ func (c *Cursor) ensure(off uint64, write bool) aifm.ObjectID {
 	// Object boundary crossed: locality-invariant guard. Localize and pin
 	// are one critical section so a concurrent evacuator cannot interleave.
 	if c.pinned {
+		c.win = nil
 		r.pool.Unpin(c.obj)
 	}
 	r.env.Clock.Advance(r.env.Costs.LocalityInvariantPin)
 	sim.Inc(&r.env.Counters.LocalityGuards)
 	r.pool.LocalizePin(id, write)
 	c.obj, c.pinned = id, true
+	c.win = r.pool.Window(id)
 	if c.prefetch {
 		for k := 1; k <= r.prefetchDepth; k++ {
 			r.pool.Prefetch(id + aifm.ObjectID(k))
@@ -97,8 +108,13 @@ func (c *Cursor) Access(i uint64, buf []byte, write bool) {
 // transformation only elides guards for accesses it can prove stay within
 // the pinned chunk.
 func (c *Cursor) AccessAt(byteOff uint64, buf []byte, write bool) {
-	if c.closed {
-		panic("core: access through closed Cursor")
+	if w := c.chunk(byteOff, len(buf), write); w != nil {
+		if write {
+			copy(w, buf)
+		} else {
+			copy(buf, w)
+		}
+		return
 	}
 	r := c.rt
 	off := c.base.HeapOffset() + byteOff
@@ -109,25 +125,63 @@ func (c *Cursor) AccessAt(byteOff uint64, buf []byte, write bool) {
 	id := c.ensure(off, write)
 	r.env.Clock.Advance(r.env.Costs.LocalLoadStore)
 	inObj := off & (uint64(r.objSize) - 1)
-	if write {
+	switch {
+	case c.win != nil && write:
+		copy(c.win[inObj:], buf)
+	case c.win != nil:
+		copy(buf, c.win[inObj:])
+	case write:
 		r.pool.Write(id, inObj, buf)
-	} else {
+	default:
 		r.pool.Read(id, inObj, buf)
 	}
 }
 
-// LoadU64 reads element i as a uint64 (element size must be 8).
-func (c *Cursor) LoadU64(i uint64) uint64 {
-	var buf [8]byte
-	c.Access(i, buf[:], false)
-	return binary.LittleEndian.Uint64(buf[:])
+// chunk is the in-chunk fast path: when the n-byte access at byteOff lies
+// in the pinned object, which has a window (and is already dirty, for a
+// write), it charges the boundary check and the access in one step and
+// returns the access's window bytes. Otherwise it returns nil having
+// charged nothing, and the caller takes the general path.
+func (c *Cursor) chunk(byteOff uint64, n int, write bool) []byte {
+	if c.closed {
+		panic("core: access through closed Cursor")
+	}
+	r := c.rt
+	off := c.base.HeapOffset() + byteOff
+	inObj := off & (uint64(r.objSize) - 1)
+	if c.win == nil || aifm.ObjectID(off>>r.shift) != c.obj || inObj+uint64(n) > uint64(r.objSize) ||
+		write && !aifm.MetaAt(r.ost, c.obj).Dirty() {
+		return nil
+	}
+	r.env.Clock.Advance(r.env.Costs.BoundaryCheck + r.env.Costs.LocalLoadStore)
+	sim.Inc(&r.env.Counters.BoundaryChecks)
+	return c.win[inObj : inObj+uint64(n)]
 }
 
+// LoadU64 reads element i as a uint64 (element size must be 8).
+func (c *Cursor) LoadU64(i uint64) uint64 { return c.LoadU64At(i * c.elemSize) }
+
 // StoreU64 writes element i as a uint64 (element size must be 8).
-func (c *Cursor) StoreU64(i uint64, v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	c.Access(i, buf[:], true)
+func (c *Cursor) StoreU64(i uint64, v uint64) { c.StoreU64At(i*c.elemSize, v) }
+
+// LoadU64At reads the uint64 at byte offset byteOff from the cursor base:
+// AccessAt for one word, without a caller buffer.
+func (c *Cursor) LoadU64At(byteOff uint64) uint64 {
+	if w := c.chunk(byteOff, 8, false); w != nil {
+		return binary.LittleEndian.Uint64(w)
+	}
+	c.AccessAt(byteOff, c.scratch[:], false)
+	return binary.LittleEndian.Uint64(c.scratch[:])
+}
+
+// StoreU64At writes v at byte offset byteOff from the cursor base.
+func (c *Cursor) StoreU64At(byteOff uint64, v uint64) {
+	if w := c.chunk(byteOff, 8, true); w != nil {
+		binary.LittleEndian.PutUint64(w, v)
+		return
+	}
+	binary.LittleEndian.PutUint64(c.scratch[:], v)
+	c.AccessAt(byteOff, c.scratch[:], true)
 }
 
 // LoadF64 reads element i as a float64.
@@ -144,6 +198,7 @@ func (c *Cursor) Close() {
 	}
 	c.closed = true
 	if c.pinned {
+		c.win = nil
 		c.rt.pool.Unpin(c.obj)
 		c.pinned = false
 	}

@@ -90,6 +90,11 @@ func (r *Runtime) CustodyReject() {
 
 // LoadU64 performs a guarded 8-byte load at p.
 func (r *Runtime) LoadU64(p Ptr) uint64 {
+	if id, w := r.guardWord(p, false, "LoadU64"); w != nil {
+		v := binary.LittleEndian.Uint64(w)
+		r.pool.Unpin(id)
+		return v
+	}
 	var buf [8]byte
 	r.access(p, buf[:], false, "LoadU64")
 	return binary.LittleEndian.Uint64(buf[:])
@@ -97,9 +102,34 @@ func (r *Runtime) LoadU64(p Ptr) uint64 {
 
 // StoreU64 performs a guarded 8-byte store at p.
 func (r *Runtime) StoreU64(p Ptr, v uint64) {
+	if id, w := r.guardWord(p, true, "StoreU64"); w != nil {
+		binary.LittleEndian.PutUint64(w, v)
+		r.pool.Unpin(id)
+		return
+	}
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], v)
 	r.access(p, buf[:], true, "StoreU64")
+}
+
+// guardWord is access for an 8-byte word that lies within one object of a
+// windowed arena: it guards the object, charges the data access exactly as
+// access does, and returns the object — still pinned, for the caller to
+// unpin after the move — and the word's bytes in the pool's window, so
+// the move needs no buffer. For a straddling word, a phantom arena or an
+// address past the heap it charges nothing and returns nil, and the caller
+// goes through access.
+func (r *Runtime) guardWord(p Ptr, write bool, op string) (aifm.ObjectID, []byte) {
+	checkManaged(p, op)
+	off := p.HeapOffset()
+	inObj := off & (uint64(r.objSize) - 1)
+	if r.phantom || inObj+8 > uint64(r.objSize) || off+8 > r.heapSize {
+		return 0, nil
+	}
+	id := aifm.ObjectID(off >> r.shift)
+	r.guardObject(id, write)
+	r.env.Clock.Advance(r.env.Costs.LocalLoadStore)
+	return id, r.pool.Window(id)[inObj : inObj+8]
 }
 
 // LoadF64 performs a guarded 8-byte float load at p.

@@ -14,10 +14,15 @@ import "sync"
 // The cache is shared by every goroutine running guards, so its map and
 // ring are guarded by a mutex; the warm/cold verdict under concurrency is
 // a property of the interleaving, exactly as a real shared cache's is.
+//
+// The map and the ring grow with the lines actually touched, up to
+// capacity, rather than being sized for capacity up front: the default
+// covers 2^18 lines, several megabytes of host memory that a runtime
+// touching a few thousand objects never uses.
 type ostCache struct {
 	mu       sync.Mutex
 	resident map[uint64]struct{}
-	order    []uint64 // FIFO ring of resident tags
+	order    []uint64 // FIFO ring of resident tags, appended until capacity
 	head     int
 	capacity int
 }
@@ -30,8 +35,7 @@ func newOSTCache(capacityLines int) *ostCache {
 		capacityLines = 1 << 18 // ~16 MB of OST coverage, LLC-like
 	}
 	return &ostCache{
-		resident: make(map[uint64]struct{}, capacityLines),
-		order:    make([]uint64, capacityLines),
+		resident: make(map[uint64]struct{}),
 		capacity: capacityLines,
 	}
 }
@@ -50,8 +54,12 @@ func (c *ostCache) touch(id uint64) bool {
 		delete(c.resident, victim)
 		c.order[c.head] = line
 		c.head = (c.head + 1) % c.capacity
+	} else if tail := (c.head + len(c.resident)) % c.capacity; tail == len(c.order) {
+		// The ring has not reached capacity yet (so head is 0 and the
+		// residents fill it from the front): grow it by the new tag.
+		c.order = append(c.order, line)
 	} else {
-		c.order[(c.head+len(c.resident))%c.capacity] = line
+		c.order[tail] = line
 	}
 	c.resident[line] = struct{}{}
 	return false
@@ -60,7 +68,7 @@ func (c *ostCache) touch(id uint64) bool {
 // flush empties the cache; Table 1's "uncached" rows are measured this way.
 func (c *ostCache) flush() {
 	c.mu.Lock()
-	c.resident = make(map[uint64]struct{}, c.capacity)
+	c.resident = make(map[uint64]struct{})
 	c.head = 0
 	c.mu.Unlock()
 }

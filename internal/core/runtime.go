@@ -100,7 +100,8 @@ type Runtime struct {
 	collectEvery int
 	sinceCollect atomic.Int64
 
-	noOST bool
+	noOST   bool
+	phantom bool // the arena has no bytes, so the pool has no windows
 }
 
 // NewRuntime validates cfg and initializes the runtime — the work the
@@ -173,6 +174,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		noPrefetch:    cfg.NoPrefetch,
 		collectEvery:  collect,
 		noOST:         cfg.NoOST,
+		phantom:       cfg.Backing == aifm.BackingPhantom,
 	}, nil
 }
 

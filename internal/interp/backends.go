@@ -146,9 +146,7 @@ func (c *tfmCursor) Load(addr uint64) uint64 {
 	if addr < c.base {
 		return c.b.RT.LoadU64(core.Ptr(addr))
 	}
-	var buf [8]byte
-	c.cur.AccessAt(addr-c.base, buf[:], false)
-	return binary.LittleEndian.Uint64(buf[:])
+	return c.cur.LoadU64At(addr - c.base)
 }
 
 // Store implements Cursor.
@@ -157,9 +155,7 @@ func (c *tfmCursor) Store(addr uint64, v uint64) {
 		c.b.RT.StoreU64(core.Ptr(addr), v)
 		return
 	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	c.cur.AccessAt(addr-c.base, buf[:], true)
+	c.cur.StoreU64At(addr-c.base, v)
 }
 
 // Close implements Cursor.

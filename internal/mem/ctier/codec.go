@@ -22,11 +22,18 @@
 // size and decode of an Encode output can never fail. Decode of arbitrary
 // bytes is fully bounds-checked and returns ErrCorrupt — never panics —
 // which FuzzCodec enforces.
+//
+// The format is pinned byte for byte, not just by round trip: Encode must
+// return exactly what the reference encoder in codec_ref_test.go returns,
+// and Decode must agree with the reference decoder on every input, so the
+// tier's byte accounting never depends on how the codec is tuned.
 package ctier
 
 import (
 	"encoding/binary"
 	"errors"
+	"math"
+	"math/bits"
 )
 
 const (
@@ -68,8 +75,15 @@ func DecodedLen(src []byte) (int, error) {
 // An Encoder holds the match-finding hash table so steady-state encoding
 // is allocation-free. Encoders are not safe for concurrent use; the tier
 // owns one and calls it under its lock.
+//
+// The table is never cleared between calls. Each call claims the position
+// range [base, base+len(src)) and stores position+base, so an entry below
+// the current base was left by an earlier call and reads as empty — the
+// same verdict a freshly cleared table gives. The table is cleared only on
+// first use and when base would overflow int32.
 type Encoder struct {
 	table [tableSize]int32
+	base  int32
 }
 
 func hash4(v uint32) uint32 {
@@ -79,6 +93,14 @@ func hash4(v uint32) uint32 {
 
 func load32(b []byte, i int) uint32 {
 	return binary.LittleEndian.Uint32(b[i:])
+}
+
+func load64(b []byte, i int) uint64 {
+	return binary.LittleEndian.Uint64(b[i:])
+}
+
+func store64(b []byte, i int, v uint64) {
+	binary.LittleEndian.PutUint64(b[i:], v)
 }
 
 // Encode compresses src into dst (reallocating only if cap(dst) <
@@ -109,42 +131,35 @@ func (e *Encoder) Encode(dst, src []byte) []byte {
 }
 
 // compress writes the LZ op stream for src into dst and returns the bytes
-// written, or -1 if the stream would not fit in dst.
+// written, or -1 if the stream would not fit in dst. Bytes of dst past the
+// returned length may be overwritten.
 func (e *Encoder) compress(dst, src []byte) int {
-	for i := range e.table {
-		e.table[i] = -1
+	if e.base <= 0 || int64(e.base)+int64(len(src)) > math.MaxInt32 {
+		clear(e.table[:])
+		e.base = 1
 	}
+	base := int(e.base)
+	e.base += int32(len(src))
 	d, litStart, i := 0, 0, 0
-	emitLiterals := func(end int) bool {
-		for litStart < end {
-			run := end - litStart
-			if run > maxLiteral {
-				run = maxLiteral
-			}
-			if d+1+run > len(dst) {
-				return false
-			}
-			dst[d] = byte((run - 1) << 1)
-			d++
-			copy(dst[d:], src[litStart:litStart+run])
-			d += run
-			litStart += run
-		}
-		return true
-	}
 	for i+minCopy <= len(src) {
-		h := hash4(load32(src, i))
-		cand := int(e.table[h])
-		e.table[h] = int32(i)
-		if cand < 0 || i-cand > maxOffset || load32(src, cand) != load32(src, i) {
+		cur := load32(src, i)
+		h := hash4(cur)
+		cand := int(e.table[h]) - base
+		e.table[h] = int32(i + base)
+		if cand < 0 || i-cand > maxOffset || load32(src, cand) != cur {
 			i++
 			continue
 		}
-		length := minCopy
-		for length < maxCopy && i+length < len(src) && src[cand+length] == src[i+length] {
-			length++
+		length := minCopy + matchLen(src, cand+minCopy, i+minCopy, maxCopy-minCopy)
+		if lit := i - litStart; lit > 0 && lit <= 8 && d+9 <= len(dst) && litStart+8 <= len(src) {
+			// The common short run, inline: emitLiterals' word path.
+			dst[d] = byte((lit - 1) << 1)
+			store64(dst, d+1, load64(src, litStart))
+			d += 1 + lit
+		} else if d = emitLiterals(dst, d, src, litStart, i); d < 0 {
+			return -1
 		}
-		if !emitLiterals(i) || d+3 > len(dst) {
+		if d+3 > len(dst) {
 			return -1
 		}
 		off := i - cand
@@ -155,8 +170,51 @@ func (e *Encoder) compress(dst, src []byte) int {
 		i += length
 		litStart = i
 	}
-	if !emitLiterals(len(src)) {
-		return -1
+	return emitLiterals(dst, d, src, litStart, len(src))
+}
+
+// matchLen reports how many bytes src[a:] and src[b:] (a < b) share, up to
+// limit and the end of src, comparing eight bytes at a time.
+func matchLen(src []byte, a, b, limit int) int {
+	if rest := len(src) - b; rest < limit {
+		limit = rest
+	}
+	n := 0
+	for n+8 <= limit {
+		if x := load64(src, a+n) ^ load64(src, b+n); x != 0 {
+			return n + bits.TrailingZeros64(x)>>3
+		}
+		n += 8
+	}
+	for n < limit && src[a+n] == src[b+n] {
+		n++
+	}
+	return n
+}
+
+// emitLiterals writes src[start:end] to dst at d as literal runs and
+// returns the new write offset, or -1 if the runs do not fit. A run of at
+// most eight bytes is moved with one 8-byte store when both buffers have
+// the room; the bytes it writes past the run are overwritten by the next
+// op or lie past the stream's end.
+func emitLiterals(dst []byte, d int, src []byte, start, end int) int {
+	for start < end {
+		run := end - start
+		if run > maxLiteral {
+			run = maxLiteral
+		}
+		if d+1+run > len(dst) {
+			return -1
+		}
+		dst[d] = byte((run - 1) << 1)
+		d++
+		if run <= 8 && d+8 <= len(dst) && start+8 <= len(src) {
+			store64(dst, d, load64(src, start))
+		} else {
+			copy(dst[d:], src[start:start+run])
+		}
+		d += run
+		start += run
 	}
 	return d
 }
@@ -204,7 +262,13 @@ func Decode(dst, src []byte) ([]byte, error) {
 				if s+run > len(src) || d+run > rawLen {
 					return nil, ErrCorrupt
 				}
-				copy(dst[d:], src[s:s+run])
+				if run <= 8 && s+8 <= len(src) && d+8 <= rawLen {
+					// One word move; the bytes past the run are
+					// overwritten by the ops that follow.
+					store64(dst, d, load64(src, s))
+				} else {
+					copy(dst[d:], src[s:s+run])
+				}
 				s += run
 				d += run
 				continue
@@ -218,9 +282,18 @@ func Decode(dst, src []byte) ([]byte, error) {
 			if off == 0 || off > d || d+length > rawLen {
 				return nil, ErrCorrupt
 			}
-			// Byte-at-a-time: copies may overlap their own output
-			// (off < length encodes a run), which copy() would break.
-			for k := 0; k < length; k++ {
+			// A copy may overlap its own output (off < length encodes a
+			// run), which copy() would break. With off >= 8 each 8-byte
+			// step reads only bytes already final, so move words (the
+			// last may run past the match; the next op overwrites it);
+			// shorter offsets and the block's tail go a byte at a time.
+			k := 0
+			if off >= 8 {
+				for ; k < length && d+k+8 <= rawLen; k += 8 {
+					store64(dst, d+k, load64(dst, d-off+k))
+				}
+			}
+			for ; k < length; k++ {
 				dst[d+k] = dst[d-off+k]
 			}
 			d += length

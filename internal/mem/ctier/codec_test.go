@@ -2,6 +2,8 @@ package ctier
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -148,4 +150,163 @@ func FuzzCodec(f *testing.F) {
 			}
 		}
 	})
+}
+
+// scanShaped returns n bytes of little-endian uint64s holding 16-bit
+// values, the shape of the tiered scan workload's objects.
+func scanShaped(rng *rand.Rand, n int) []byte {
+	b := make([]byte, n+8)
+	for i := 0; i < n; i += 8 {
+		binary.LittleEndian.PutUint64(b[i:], uint64(rng.Intn(1<<16)))
+	}
+	return b[:n]
+}
+
+// codecInputs returns the differential battery: every length of interest
+// in every data shape the tier and the compressed store see.
+func codecInputs() [][]byte {
+	rng := rand.New(rand.NewSource(13))
+	words := []string{"far ", "memory ", "object ", "guard ", "chunk ", "the ", "a "}
+	shapes := []func(n int) []byte{
+		func(n int) []byte { b := make([]byte, n); rng.Read(b); return b },
+		func(n int) []byte { return scanShaped(rng, n) },
+		func(n int) []byte { // low entropy: a four-letter alphabet
+			b := make([]byte, n)
+			for i := range b {
+				b[i] = "ACGT"[rng.Intn(4)]
+			}
+			return b
+		},
+		func(n int) []byte { // runs of random length
+			b := make([]byte, 0, n)
+			for len(b) < n {
+				b = append(b, bytes.Repeat([]byte{byte(rng.Intn(256))}, 1+rng.Intn(300))...)
+			}
+			return b[:n]
+		},
+		func(n int) []byte { // text
+			var b []byte
+			for len(b) < n {
+				b = append(b, words[rng.Intn(len(words))]...)
+			}
+			return b[:n]
+		},
+	}
+	var cases [][]byte
+	for _, n := range []int{0, 1, 3, 4, 5, 6, 7, 8, 9, 131, 132, 4096, 65536} {
+		for _, shape := range shapes {
+			cases = append(cases, shape(n))
+		}
+	}
+	return cases
+}
+
+// checkDecodeMatches feeds blk to Decode and to the reference decoder and
+// fails unless both fail, or both succeed with the same bytes. Decode
+// writes into a buffer pre-filled with garbage, so its output cannot
+// depend on what the caller's buffer held.
+func checkDecodeMatches(t *testing.T, blk []byte) {
+	t.Helper()
+	want, werr := refDecode(nil, blk)
+	dst := bytes.Repeat([]byte{0xA5}, len(want)+16)
+	got, err := Decode(dst[:0], blk)
+	if (err == nil) != (werr == nil) {
+		t.Fatalf("Decode error %v, reference %v (block % x)", err, werr, blk)
+	}
+	if err != nil {
+		if err != ErrCorrupt {
+			t.Fatalf("Decode returned %v, want ErrCorrupt", err)
+		}
+		return
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("Decode output differs from the reference (block of %d bytes)", len(blk))
+	}
+}
+
+// TestCodecMatchesReference pins the block format byte for byte: the
+// optimized Encoder must produce exactly the reference encoder's bytes —
+// fresh and reused, across table epochs and an epoch wrap — and Decode
+// must agree with the reference decoder on every encoding and on
+// truncated and bit-flipped corruptions of it.
+func TestCodecMatchesReference(t *testing.T) {
+	var reused Encoder
+	var ref refEncoder
+	rng := rand.New(rand.NewSource(5))
+	for i, src := range codecInputs() {
+		want := ref.Encode(nil, src)
+		var fresh Encoder
+		if got := fresh.Encode(nil, src); !bytes.Equal(got, want) {
+			t.Fatalf("case %d (%d bytes): fresh Encoder differs from the reference", i, len(src))
+		}
+		if got := reused.Encode(nil, src); !bytes.Equal(got, want) {
+			t.Fatalf("case %d (%d bytes): reused Encoder differs from the reference", i, len(src))
+		}
+		checkDecodeMatches(t, want)
+		for _, n := range []int{0, 1, len(want) / 2, len(want) - 1} {
+			if n >= 0 && n < len(want) {
+				checkDecodeMatches(t, want[:n])
+			}
+		}
+		for k := 0; k < 8 && len(want) > 0; k++ {
+			bad := append([]byte(nil), want...)
+			bad[rng.Intn(len(bad))] ^= byte(1 + rng.Intn(255))
+			checkDecodeMatches(t, bad)
+		}
+	}
+	// An epoch about to overflow clears the table and restarts.
+	reused.base = math.MaxInt32 - 100
+	src := scanShaped(rng, 4096)
+	if got, want := reused.Encode(nil, src), ref.Encode(nil, src); !bytes.Equal(got, want) {
+		t.Fatal("Encoder differs from the reference across an epoch wrap")
+	}
+	if reused.base != 1+4096 {
+		t.Fatalf("epoch after wrap = %d, want %d", reused.base, 1+4096)
+	}
+}
+
+// FuzzCodecMatchesReference extends TestCodecMatchesReference to arbitrary
+// inputs: Encode (after a call on a suffix, so stale table entries are in
+// play) must match the reference bytes, and Decode of the input taken as
+// an encoded block must match the reference decoder's verdict and bytes.
+func FuzzCodecMatchesReference(f *testing.F) {
+	f.Add([]byte(nil))
+	f.Add([]byte("hello hello hello hello"))
+	f.Add(scanShaped(rand.New(rand.NewSource(1)), 256))
+	f.Add([]byte{4, 1, 0x06, 'a', 'b', 'c', 'd', 0xFF, 1, 0})
+	f.Add([]byte{17, 1, 0x0E, 1, 2, 3, 4, 5, 6, 7, 8, 0x0B, 8, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var enc Encoder
+		var ref refEncoder
+		enc.Encode(nil, data[len(data)/2:])
+		if got, want := enc.Encode(nil, data), ref.Encode(nil, data); !bytes.Equal(got, want) {
+			t.Fatalf("Encode differs from the reference:\n got % x\nwant % x", got, want)
+		}
+		checkDecodeMatches(t, data)
+	})
+}
+
+func BenchmarkCodecEncode4K(b *testing.B) {
+	var enc Encoder
+	src := scanShaped(rand.New(rand.NewSource(1)), 4096)
+	dst := make([]byte, MaxEncodedLen(len(src)))
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		enc.Encode(dst, src)
+	}
+}
+
+func BenchmarkCodecDecode4K(b *testing.B) {
+	var enc Encoder
+	src := scanShaped(rand.New(rand.NewSource(1)), 4096)
+	blk := enc.Encode(nil, src)
+	dst := make([]byte, len(src))
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Decode(dst, blk); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
